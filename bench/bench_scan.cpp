@@ -1,14 +1,13 @@
-// Trace-ingestion benchmark: generate a sampled DITL capture, persist it
-// to the NCD1 binary format, then scan it back through the ingestion
-// paths — the materializing reader (read_tolerant + process), the
-// zero-copy TraceView (process_view), and the sharded multi-file corpus
-// under the work-stealing scheduler (process_corpus) — and report
-// records/sec for each.
+// Trace-ingestion benchmark: generate a sampled DITL capture, write it as
+// NCCORPUS corpora, and time the one scan path (ChromiumCounter::
+// process_corpus, the work-stealing scan over zero-copy members) over a
+// one-member corpus and — at the internet presets — over the same
+// records sharded into N members; report records/sec for each.
 //
-// The bench *checks* the parity contract before it times anything: the
-// view scan must be byte-identical to the materializing scan, and the
-// corpus scan byte-identical to both, at threads 1/2/8; any mismatch is
-// a hard failure (exit 1).
+// The bench *checks* the parity contract before it times anything: every
+// corpus scan must be byte-identical to the serial reference scan
+// (tests/scan_reference.h) at threads 1/2/8; any mismatch is a hard
+// failure (exit 1).
 //
 // With an internet preset the bench first streams the planned world
 // through the bounded-memory WorldStreamer and hard-fails if the arena
@@ -17,14 +16,11 @@
 //
 // Output: a throughput table on stdout, rows in
 // bench_out/scan_throughput.csv (CI uploads + gates it), and gauges
-// `chromium.scan.view_records_per_sec` /
-// `chromium.scan.materialize_records_per_sec` / `chromium.scan.speedup` /
-// `chromium.scan.corpus_records_per_sec` / `chromium.scan.corpus_speedup` /
-// `chromium.scan.steal_ratio` (plus `bench.stream.*` at internet scale)
-// via --metrics-out. `--require-speedup=X` (CI passes 1.0) exits 1 when
-// the view path is less than X times the materializing throughput — and,
-// at internet scale, when the multi-file corpus scan is less than X times
-// the single-file view scan at equal threads.
+// `chromium.scan.corpus_records_per_sec` / `chromium.scan.corpus_speedup`
+// (N members over one) / `chromium.scan.steal_ratio` (plus `bench.stream.*`
+// at internet scale) via --metrics-out. `--require-speedup=X` (CI passes
+// 1.0) exits 1, at internet scale, when the N-member scan is less than X
+// times the one-member scan at equal threads.
 //
 // Run:  build/bench/bench_scan [--scale=paper|internet-lite|internet]
 //                              [--reps=3] [--require-speedup=0]
@@ -33,14 +29,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common.h"
 #include "core/exec/steal.h"
 #include "roots/corpus.h"
-#include "roots/trace.h"
-#include "roots/trace_view.h"
+#include "scan_reference.h"
 #include "sim/stream.h"
 
 using namespace netclients;
@@ -55,18 +51,36 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-bool identical(const core::ChromiumResult& a, const core::ChromiumResult& b) {
-  if (a.records_scanned != b.records_scanned ||
-      a.signature_matches != b.signature_matches ||
-      a.rejected_collisions != b.rejected_collisions ||
-      a.probes_by_resolver.size() != b.probes_by_resolver.size()) {
-    return false;
+/// Writes `records` as a corpus of `files` members and opens it; says why
+/// and returns nullopt when either step fails.
+std::optional<roots::CorpusView> write_and_open(
+    const std::string& manifest_path,
+    const std::vector<roots::TraceRecord>& records, std::size_t files) {
+  obs::StageSpan span("scan.bench.corpus_write");
+  if (!roots::write_corpus(manifest_path, records, files)) {
+    std::fprintf(stderr, "[scan] cannot write corpus %s\n",
+                 manifest_path.c_str());
+    return std::nullopt;
   }
-  for (const auto& [addr, count] : a.probes_by_resolver) {
-    const auto it = b.probes_by_resolver.find(addr);
-    if (it == b.probes_by_resolver.end() || it->second != count) return false;
+  auto corpus = roots::CorpusView::open(manifest_path);
+  if (!corpus || corpus->stats().members_skipped != 0) {
+    std::fprintf(stderr, "[scan] corpus open failed for %s\n",
+                 manifest_path.c_str());
+    return std::nullopt;
   }
-  return true;
+  return corpus;
+}
+
+/// Wall time of one open + scan of the corpus at `manifest_path`, or -1
+/// when it cannot be reopened.
+double timed_scan(const core::ChromiumCounter& counter,
+                  const std::string& manifest_path,
+                  core::exec::StealTelemetry* steal, std::uint64_t* sink) {
+  const auto start = std::chrono::steady_clock::now();
+  const auto corpus = roots::CorpusView::open(manifest_path);
+  if (!corpus) return -1;
+  *sink += counter.process_corpus(*corpus, steal).signature_matches;
+  return seconds_since(start);
 }
 
 /// Streams the internet-scale world under the preset's arena budget and
@@ -174,140 +188,95 @@ int main(int argc, char** argv) {
                          records.push_back(rec);
                        });
   }
-  const std::string path = bench::out_path("scan.trace");
-  {
-    obs::StageSpan span("scan.bench.write");
-    if (!roots::TraceFile::write(path, records)) {
-      std::fprintf(stderr, "[scan] cannot write %s\n", path.c_str());
-      return 1;
-    }
-  }
-  const auto view = roots::TraceView::open(path);
-  if (!view) {
-    std::fprintf(stderr, "[scan] cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "[scan] %zu records, %zu payload bytes (%s)\n",
-               records.size(), view->payload_bytes(),
-               view->mapped() ? "mmap" : "buffered");
-
-  // The same records sharded across the corpus (1 member in the paper
-  // preset, so the corpus machinery is always exercised).
+  // The same records as one member and — at the internet presets —
+  // sharded across N members (at the paper preset N is 1 and the two
+  // corpora are one).
   const std::string manifest_path = bench::out_path("scan.manifest");
-  {
-    obs::StageSpan span("scan.bench.corpus_write");
-    if (!roots::write_corpus(manifest_path, records, spec.corpus_files)) {
-      std::fprintf(stderr, "[scan] cannot write corpus %s\n",
-                   manifest_path.c_str());
-      return 1;
-    }
+  const auto corpus =
+      write_and_open(manifest_path, records, spec.corpus_files);
+  if (!corpus) return 1;
+  const std::string single_path = bench::out_path("scan_one.manifest");
+  std::vector<const roots::CorpusView*> corpora = {&*corpus};
+  std::optional<roots::CorpusView> single;
+  if (spec.corpus_files > 1) {
+    single = write_and_open(single_path, records, 1);
+    if (!single) return 1;
+    corpora.push_back(&*single);
   }
-  const auto corpus = roots::CorpusView::open(manifest_path);
-  if (!corpus || corpus->stats().members_skipped != 0) {
-    std::fprintf(stderr, "[scan] corpus open failed for %s\n",
-                 manifest_path.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "[scan] corpus: %zu member file(s), %llu records\n",
-               corpus->members().size(),
-               static_cast<unsigned long long>(corpus->declared_records()));
+  std::fprintf(stderr, "[scan] %zu records, %llu payload bytes, %zu corpus "
+               "member(s)\n",
+               records.size(),
+               static_cast<unsigned long long>(corpus->payload_bytes()),
+               corpus->members().size());
 
   core::ChromiumOptions options;
   options.sample_rate = ditl.sample_rate;
 
   // ---- 2. Parity checks (before timing) --------------------------------
-  // The acceptance contract: the multi-file work-stealing scan must be
-  // byte-identical to the single-file view scan (and both to the
-  // materializing reference) at every thread count, regardless of steal
-  // interleaving.
-  const core::ChromiumResult reference =
-      core::ChromiumCounter(options).process(records);
+  // The acceptance contract: the work-stealing corpus scan must be
+  // byte-identical to the serial reference at every thread count and
+  // member split, regardless of steal interleaving.
+  const core::ChromiumResult reference = reference_scan(records, options);
   for (const int threads : {1, 2, 8}) {
     core::ChromiumOptions check = options;
     check.threads = threads;
     const core::ChromiumCounter counter(check);
-    if (!identical(counter.process_view(*view), reference)) {
-      std::fprintf(stderr,
-                   "[scan] FAIL: process_view differs from process() at "
-                   "threads=%d\n",
-                   threads);
-      return 1;
-    }
-    if (!identical(counter.process_corpus(*corpus), reference)) {
-      std::fprintf(stderr,
-                   "[scan] FAIL: process_corpus differs from process() at "
-                   "threads=%d\n",
-                   threads);
-      return 1;
+    for (const roots::CorpusView* scanned : corpora) {
+      if (!same_scan(counter.process_corpus(*scanned), reference)) {
+        std::fprintf(stderr,
+                     "[scan] FAIL: %zu-member corpus scan differs from the "
+                     "serial reference at threads=%d\n",
+                     scanned->members().size(), threads);
+        return 1;
+      }
     }
   }
 
-  // ---- 3. Throughput: file -> ChromiumResult through each path ---------
+  // ---- 3. Throughput: manifest -> ChromiumResult -----------------------
   const core::ChromiumCounter counter(options);
   const auto n = static_cast<double>(records.size());
-  double materialize_seconds = 1e30;
-  double view_seconds = 1e30;
-  double corpus_seconds = 1e30;
   core::exec::StealTelemetry steal;
   std::uint64_t sink = 0;  // keeps the timed results observable
+  // Best of `reps`; the two corpora alternate within a rep so both see
+  // the same machine state.
+  double single_seconds = 1e30;
+  double corpus_seconds = 1e30;
   for (int rep = 0; rep < reps; ++rep) {
-    {
-      const auto start = std::chrono::steady_clock::now();
-      std::vector<roots::TraceRecord> loaded;
-      roots::TraceFile::ReadStats stats;
-      if (!roots::TraceFile::read_tolerant(path, &loaded, &stats)) return 1;
-      const core::ChromiumResult result = counter.process(loaded);
-      materialize_seconds = std::min(materialize_seconds,
-                                     seconds_since(start));
-      sink += result.signature_matches;
+    if (single) {
+      single_seconds = std::min(
+          single_seconds, timed_scan(counter, single_path, nullptr, &sink));
     }
-    {
-      const auto start = std::chrono::steady_clock::now();
-      const auto timed_view = roots::TraceView::open(path);
-      if (!timed_view) return 1;
-      const core::ChromiumResult result = counter.process_view(*timed_view);
-      view_seconds = std::min(view_seconds, seconds_since(start));
-      sink += result.signature_matches;
-    }
-    {
-      const auto start = std::chrono::steady_clock::now();
-      const auto timed_corpus = roots::CorpusView::open(manifest_path);
-      if (!timed_corpus) return 1;
-      core::exec::StealTelemetry rep_steal;
-      const core::ChromiumResult result =
-          counter.process_corpus(*timed_corpus, &rep_steal);
-      const double seconds = seconds_since(start);
-      if (seconds < corpus_seconds) {
-        corpus_seconds = seconds;
-        steal = rep_steal;
-      }
-      sink += result.signature_matches;
+    core::exec::StealTelemetry rep_steal;
+    const double seconds =
+        timed_scan(counter, manifest_path, &rep_steal, &sink);
+    if (seconds < corpus_seconds) {
+      corpus_seconds = seconds;
+      steal = rep_steal;
     }
   }
-  const double materialize_rps =
-      materialize_seconds > 0 ? n / materialize_seconds : 0;
-  const double view_rps = view_seconds > 0 ? n / view_seconds : 0;
-  const double corpus_rps = corpus_seconds > 0 ? n / corpus_seconds : 0;
-  const double speedup =
-      materialize_rps > 0 ? view_rps / materialize_rps : 0;
-  const double corpus_speedup = view_rps > 0 ? corpus_rps / view_rps : 0;
+  if (corpus_seconds <= 0 || single_seconds <= 0) {
+    std::fprintf(stderr, "[scan] cannot reopen the corpus\n");
+    return 1;
+  }
+  const double corpus_rps = n / corpus_seconds;
+  const double single_rps = single ? n / single_seconds : corpus_rps;
+  const double corpus_speedup = corpus_rps / single_rps;
   const double steal_ratio =
       steal.tasks > 0
           ? static_cast<double>(steal.stolen_tasks) / steal.tasks
           : 0;
 
-  std::printf("trace scan throughput (%zu records, %zu corpus file(s), "
+  std::printf("trace scan throughput (%zu records, %zu corpus member(s), "
               "best of %d)\n",
               records.size(), corpus->members().size(), reps);
-  std::printf("  %-12s %10s %16s\n", "path", "seconds", "records/sec");
-  std::printf("  %-12s %10.3f %16.0f\n", "materialize", materialize_seconds,
-              materialize_rps);
-  std::printf("  %-12s %10.3f %16.0f\n", "view", view_seconds, view_rps);
-  std::printf("  %-12s %10.3f %16.0f\n", "corpus", corpus_seconds,
-              corpus_rps);
-  std::printf("  view/materialize speedup: %.1fx, corpus/view: %.2fx  "
-              "(checksum %llu)\n",
-              speedup, corpus_speedup,
+  std::printf("  %-12s %10s %16s\n", "members", "seconds", "records/sec");
+  if (single) {
+    std::printf("  %-12d %10.3f %16.0f\n", 1, single_seconds, single_rps);
+  }
+  std::printf("  %-12zu %10.3f %16.0f\n", corpus->members().size(),
+              corpus_seconds, corpus_rps);
+  std::printf("  %zu member(s) / 1 member: %.2fx  (checksum %llu)\n",
+              corpus->members().size(), corpus_speedup,
               static_cast<unsigned long long>(sink));
   std::printf("  steal scheduler: %zu tasks over %zu workers, %zu "
               "steal(s) moved %zu task(s) (ratio %.3f)\n",
@@ -315,15 +284,8 @@ int main(int argc, char** argv) {
               steal_ratio);
 
   obs::Registry::global()
-      .gauge("chromium.scan.materialize_records_per_sec")
-      .set(materialize_rps);
-  obs::Registry::global()
-      .gauge("chromium.scan.view_records_per_sec")
-      .set(view_rps);
-  obs::Registry::global()
       .gauge("chromium.scan.corpus_records_per_sec")
       .set(corpus_rps);
-  obs::Registry::global().gauge("chromium.scan.speedup").set(speedup);
   obs::Registry::global()
       .gauge("chromium.scan.corpus_speedup")
       .set(corpus_speedup);
@@ -334,34 +296,33 @@ int main(int argc, char** argv) {
     std::fprintf(csv,
                  "path,scale,files,records,payload_bytes,seconds,"
                  "records_per_sec\n");
-    std::fprintf(csv, "materialize,%s,1,%zu,%zu,%.6f,%.0f\n",
-                 spec.name.c_str(), records.size(), view->payload_bytes(),
-                 materialize_seconds, materialize_rps);
-    std::fprintf(csv, "view,%s,1,%zu,%zu,%.6f,%.0f\n", spec.name.c_str(),
-                 records.size(), view->payload_bytes(), view_seconds,
-                 view_rps);
+    if (single) {
+      std::fprintf(csv, "corpus,%s,1,%zu,%llu,%.6f,%.0f\n",
+                   spec.name.c_str(), records.size(),
+                   static_cast<unsigned long long>(single->payload_bytes()),
+                   single_seconds, single_rps);
+    }
     std::fprintf(csv, "corpus,%s,%zu,%zu,%llu,%.6f,%.0f\n", spec.name.c_str(),
                  corpus->members().size(), records.size(),
                  static_cast<unsigned long long>(corpus->payload_bytes()),
                  corpus_seconds, corpus_rps);
     std::fclose(csv);
   }
-  // The CSV (and, in CI, the manifest) are the artifacts, not the capture.
-  std::remove(path.c_str());
-
-  if (require_speedup > 0 && speedup < require_speedup) {
-    std::fprintf(stderr,
-                 "[scan] FAIL: view path %.2fx materializing, below the "
-                 "required %.2fx\n",
-                 speedup, require_speedup);
-    return 1;
+  // The CSV and the N-member corpus are the artifacts; the one-member
+  // copy is scratch.
+  if (single) {
+    for (const auto& member : single->members()) {
+      std::remove(bench::out_path(member.meta.file).c_str());
+    }
+    std::remove(single_path.c_str());
   }
+
   if (require_speedup > 0 && spec.internet() &&
       corpus_speedup < require_speedup) {
     std::fprintf(stderr,
-                 "[scan] FAIL: corpus path %.2fx the single-file view, "
-                 "below the required %.2fx\n",
-                 corpus_speedup, require_speedup);
+                 "[scan] FAIL: %zu-member corpus scan %.2fx the one-member "
+                 "scan, below the required %.2fx\n",
+                 corpus->members().size(), corpus_speedup, require_speedup);
     return 1;
   }
   return 0;

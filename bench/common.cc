@@ -8,6 +8,8 @@
 #include <string>
 #include <utility>
 
+#include <unistd.h>
+
 #include "core/exec/exec.h"
 #include "core/obs/obs.h"
 
@@ -154,11 +156,20 @@ Pipelines PipelineBuilder::build() const {
     core::ChromiumOptions chromium_options;
     chromium_options.sample_rate = ditl.sample_rate;
     chromium_options.threads = threads;
-    core::ChromiumCounter counter(chromium_options);
-    p.chromium = counter.process(
-        [&](const std::function<void(const roots::TraceRecord&)>& emit) {
-          sim::generate_ditl(p.world(), root_system, ditl, emit);
-        });
+    // The capture is generated once into a scratch corpus, scanned in
+    // place, and removed.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("netclients-ditl-" + std::to_string(::getpid()));
+    const auto corpus = sim::write_ditl_corpus(p.world(), root_system, ditl,
+                                               dir / "ditl.manifest");
+    if (!corpus) {
+      std::fprintf(stderr, "[bench] cannot write a DITL corpus in %s\n",
+                   dir.c_str());
+      std::exit(1);
+    }
+    p.chromium = core::ChromiumCounter(chromium_options).process_corpus(*corpus);
+    std::filesystem::remove_all(dir);
     p.logs_prefixes = p.chromium.to_prefix_dataset("DNS logs");
   }
 

@@ -6,9 +6,13 @@
 // Run:  build/examples/country_report [scale-denominator] [country-code]
 
 #include <cstdio>
-#include <utility>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <string>
+#include <utility>
+
+#include <unistd.h>
 
 #include "core/obs/export.h"
 #include "apnic/apnic.h"
@@ -42,11 +46,18 @@ int main(int argc, char** argv) {
   ditl.sample_rate = 1.0 / 64;
   core::ChromiumOptions chromium_options;
   chromium_options.sample_rate = ditl.sample_rate;
-  const core::ChromiumCounter counter(chromium_options);
-  const auto chromium = counter.process(
-      [&](const std::function<void(const roots::TraceRecord&)>& emit) {
-        sim::generate_ditl(world, roots, ditl, emit);
-      });
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("netclients-country-report-" + std::to_string(::getpid()));
+  const auto corpus =
+      sim::write_ditl_corpus(world, roots, ditl, dir / "ditl.manifest");
+  if (!corpus) {
+    std::fprintf(stderr, "cannot write a DITL corpus in %s\n", dir.c_str());
+    return 1;
+  }
+  const auto chromium =
+      core::ChromiumCounter(chromium_options).process_corpus(*corpus);
+  std::filesystem::remove_all(dir);
   const auto logs_as = core::to_as_dataset(
       "DNS logs", chromium.to_prefix_dataset("l"), world);
 

@@ -1,22 +1,22 @@
-// DITL export / re-import: materializes a sampled DITL capture to the
-// library's binary trace format, re-runs the Chromium pipeline from the
-// file, then persists the analysis as a netclients.snap.v1 snapshot —
+// DITL export / re-import: writes a sampled DITL capture as an NCCORPUS
+// corpus of the library's binary trace format, re-runs the Chromium
+// pipeline from disk, then persists the analysis as a netclients.snap.v1 snapshot —
 // the workflow a researcher with DNS-OARC access would use (collect
 // once, analyze many times, serve the result).
 //
-// Run:  build/examples/ditl_export [scale-denominator] [out.trace]
+// Run:  build/examples/ditl_export [scale-denominator] [out.manifest]
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
 #include "core/obs/export.h"
 #include "core/chromium/chromium.h"
 #include "core/scenario/scenario.h"
 #include "core/serve/service.h"
 #include "core/snapshot/snapshot.h"
+#include "roots/corpus.h"
 #include "roots/root_server.h"
-#include "roots/trace.h"
-#include "roots/trace_view.h"
 #include "sim/ditl.h"
 
 using namespace netclients;
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   obs::MetricsOutGuard metrics_out(&argc, argv);
   double denominator = 512;
   if (argc > 1) denominator = std::atof(argv[1]);
-  const std::string path = argc > 2 ? argv[2] : "ditl_sample.trace";
+  const std::string path = argc > 2 ? argv[2] : "ditl_sample.manifest";
 
   const core::Scenario scenario =
       core::ScenarioBuilder().scale_denominator(denominator).build();
@@ -43,31 +43,33 @@ int main(int argc, char** argv) {
               records.size(),
               static_cast<unsigned long long>(stats.suppressed));
 
-  if (!roots::TraceFile::write(path, records)) {
+  if (!roots::write_corpus(path, records, 1)) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 1;
   }
   std::printf("wrote %s\n", path.c_str());
 
-  // Re-import and analyze, as a separate consumer would — through the
-  // zero-copy view: the capture is mmap-ed (buffered where mapping is
-  // unavailable) and scanned in place, never materialized. The read is
-  // tolerant: a capture damaged in transit still yields every record
-  // before the corruption, with the rest counted as skipped.
+  // Re-import and analyze, as a separate consumer would: the corpus
+  // members are mmap-ed (buffered where mapping is unavailable) and
+  // scanned in place, never materialized. The read is tolerant: a capture
+  // damaged in transit still yields every record before the corruption,
+  // with the rest counted as skipped.
   core::ChromiumOptions options;
   options.sample_rate = ditl.sample_rate;
-  const core::ChromiumCounter counter(options);
-  const auto view = roots::TraceView::open(path);
-  if (!view) {
+  const auto corpus = roots::CorpusView::open(path);
+  if (!corpus || corpus->members().empty() ||
+      corpus->stats().members_skipped > 0) {
     std::fprintf(stderr, "cannot read back %s\n", path.c_str());
     return 1;
   }
-  const core::ChromiumResult result = counter.process_view(*view);
+  const core::ChromiumResult result =
+      core::ChromiumCounter(options).process_corpus(*corpus);
   std::printf("re-analyzed from disk (%s, zero-copy): "
               "%llu records (%llu skipped), "
               "%llu signature matches, %llu collision-rejected, "
               "%zu resolvers with Chromium activity\n",
-              view->mapped() ? "mmap" : "buffered",
+              corpus->members().front().trace->mapped() ? "mmap"
+                                                        : "buffered",
               static_cast<unsigned long long>(result.records_scanned),
               static_cast<unsigned long long>(result.records_skipped),
               static_cast<unsigned long long>(result.signature_matches),
@@ -114,6 +116,10 @@ int main(int argc, char** argv) {
               handle->index().total_volume(),
               static_cast<unsigned long long>(handle->version()));
 
+  for (const auto& member : corpus->members()) {
+    std::filesystem::remove(
+        std::filesystem::path(path).replace_filename(member.meta.file));
+  }
   std::remove(path.c_str());
   std::remove(snap_path.c_str());
   return 0;

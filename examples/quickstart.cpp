@@ -6,8 +6,12 @@
 // Run:  build/examples/quickstart [scale-denominator]
 
 #include <cstdio>
-#include <utility>
 #include <cstdlib>
+#include <filesystem>
+#include <string>
+#include <utility>
+
+#include <unistd.h>
 
 #include "core/obs/export.h"
 #include "apnic/apnic.h"
@@ -52,16 +56,24 @@ int main(int argc, char** argv) {
   const roots::RootSystem root_system =
       roots::RootSystem::ditl_2020(world.config().seed);
   sim::DitlOptions ditl;
-  // DITL is processed streaming with uniform sampling (the pipeline scales
-  // counts back up); see DESIGN.md on laptop-scale trace handling.
+  // DITL is captured with uniform sampling (the pipeline scales counts
+  // back up), written once as a corpus and scanned in place; see
+  // DESIGN.md on laptop-scale trace handling.
   ditl.sample_rate = 1.0 / 64;
   core::ChromiumOptions chromium_options;
   chromium_options.sample_rate = ditl.sample_rate;
-  core::ChromiumCounter counter(chromium_options);
-  const auto chromium = counter.process(
-      [&](const std::function<void(const roots::TraceRecord&)>& emit) {
-        sim::generate_ditl(world, root_system, ditl, emit);
-      });
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("netclients-quickstart-" + std::to_string(::getpid()));
+  const auto corpus =
+      sim::write_ditl_corpus(world, root_system, ditl, dir / "ditl.manifest");
+  if (!corpus) {
+    std::fprintf(stderr, "cannot write a DITL corpus in %s\n", dir.c_str());
+    return 1;
+  }
+  const auto chromium =
+      core::ChromiumCounter(chromium_options).process_corpus(*corpus);
+  std::filesystem::remove_all(dir);
   std::printf(
       "DNS logs: %llu records, %llu matches, %llu collision-rejected, "
       "%zu resolvers\n",

@@ -85,6 +85,31 @@ inline net::Rng shard_rng(std::uint64_t seed, std::uint64_t shard_id) {
   return net::Rng(shard_seed(seed, shard_id));
 }
 
+/// Completion barrier for the workers of one parallel_map/steal_map call,
+/// which lives in the caller's frame. The last worker's decrement and its
+/// notify both happen under the mutex the caller's wait holds, so the
+/// caller cannot see the count reach zero — and return, ending the frame —
+/// while a worker still touches the latch.
+class CompletionLatch {
+ public:
+  explicit CompletionLatch(std::size_t workers) : remaining_(workers) {}
+
+  void count_down() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--remaining_ == 0) cv_.notify_all();
+  }
+
+  void wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return remaining_ == 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t remaining_;
+};
+
 /// Runs fn(i) for every i in [0, n) across `threads` workers and returns
 /// the results *in index order*. `threads <= 0` means thread_count();
 /// 1 (or n <= 1) runs inline, in index order, on the calling thread.
@@ -98,9 +123,9 @@ auto parallel_map(std::size_t n, int threads, Fn&& fn)
   using R = decltype(fn(std::size_t{0}));
   // Fan-out telemetry. Only the total shard count is recorded: it depends
   // on the input size alone. Neither the worker split nor the number of
-  // parallel_map *calls* qualifies — batching callers (ChunkedScatter)
-  // legally flush in thread-count-sized groups — and recording either
-  // would break the byte-identical-export-at-any-REPRO_THREADS contract.
+  // parallel_map *calls* qualifies — a caller may legally batch its calls
+  // by thread count — and recording either would break the
+  // byte-identical-export-at-any-REPRO_THREADS contract.
   static obs::Counter& shards_metric =
       obs::Registry::global().counter("exec.parallel_map.shards");
   shards_metric.add(n);
@@ -115,9 +140,7 @@ auto parallel_map(std::size_t n, int threads, Fn&& fn)
   }
 
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> remaining{workers};
-  std::mutex done_mu;
-  std::condition_variable done_cv;
+  CompletionLatch done(workers);
   std::mutex error_mu;
   std::exception_ptr error;
 
@@ -131,20 +154,12 @@ auto parallel_map(std::size_t n, int threads, Fn&& fn)
         if (!error) error = std::current_exception();
       }
     }
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mu);
-      done_cv.notify_all();
-    }
+    done.count_down();
   };
 
   for (std::size_t w = 1; w < workers; ++w) shared_pool().submit(body);
   body();  // the calling thread is worker 0
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] {
-      return remaining.load(std::memory_order_acquire) == 0;
-    });
-  }
+  done.wait();
   if (error) std::rethrow_exception(error);
   return results;
 }

@@ -1,7 +1,6 @@
 #include "core/exec/steal.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <deque>
 #include <exception>
 #include <mutex>
@@ -19,22 +18,12 @@ struct WorkerDeque {
   std::deque<std::size_t> tasks;
 };
 
-void record_metrics(std::size_t tasks, const StealTelemetry& t) {
-  // Task count depends only on the input, so it is safe to always record.
+/// Only the task count, a function of the input alone, is exported; the
+/// steal tallies are scheduling noise (see steal.h).
+void record_metrics(std::size_t tasks) {
   static obs::Counter& tasks_metric =
       obs::Registry::global().counter("exec.steal.tasks");
   tasks_metric.add(tasks);
-  // Steal tallies are scheduling noise: lazily instantiated so they never
-  // appear in serial runs, keeping REPRO_THREADS=1 exports byte-stable.
-  if (t.steals > 0) {
-    obs::Registry::global().counter("exec.steal.steals").add(t.steals);
-    obs::Registry::global()
-        .counter("exec.steal.stolen_tasks")
-        .add(t.stolen_tasks);
-  }
-  if (t.attempts > 0) {
-    obs::Registry::global().counter("exec.steal.attempts").add(t.attempts);
-  }
 }
 
 }  // namespace
@@ -55,7 +44,7 @@ void steal_run(std::size_t n, int threads,
 
   if (workers <= 1) {
     for (std::size_t i = 0; i < n; ++i) task(i);
-    record_metrics(n, local);
+    record_metrics(n);
     if (telemetry) *telemetry = local;
     return;
   }
@@ -73,9 +62,7 @@ void steal_run(std::size_t n, int threads,
   std::atomic<std::size_t> steals{0};
   std::atomic<std::size_t> stolen_tasks{0};
   std::atomic<std::size_t> attempts{0};
-  std::atomic<std::size_t> remaining{workers};
-  std::mutex done_mu;
-  std::condition_variable done_cv;
+  CompletionLatch done(workers);
   std::mutex error_mu;
   std::exception_ptr error;
 
@@ -136,27 +123,19 @@ void steal_run(std::size_t n, int threads,
         for (std::size_t i : grabbed) mine.tasks.push_back(i);
       }
     }
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mu);
-      done_cv.notify_all();
-    }
+    done.count_down();
   };
 
   for (std::size_t w = 1; w < workers; ++w) {
     shared_pool().submit([&body, w] { body(w); });
   }
   body(0);  // the calling thread is worker 0
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] {
-      return remaining.load(std::memory_order_acquire) == 0;
-    });
-  }
+  done.wait();
 
   local.steals = steals.load(std::memory_order_relaxed);
   local.stolen_tasks = stolen_tasks.load(std::memory_order_relaxed);
   local.attempts = attempts.load(std::memory_order_relaxed);
-  record_metrics(n, local);
+  record_metrics(n);
   if (telemetry) *telemetry = local;
   if (error) std::rethrow_exception(error);
 }

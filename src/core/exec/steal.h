@@ -19,13 +19,11 @@
 // and any steal interleaving.
 //
 // Telemetry: `exec.steal.tasks` counts scheduled tasks and is a function
-// of the input alone, so it is always recorded. Steal tallies
-// (`exec.steal.steals`, `.stolen_tasks`, `.attempts`) are scheduling
-// noise — different on every run — and are recorded *lazily*: the metric
-// is only instantiated once a steal actually happens. Serial runs (and
-// any REPRO_THREADS=1 determinism harness diffing metric exports) never
-// see the keys; multi-threaded callers that want them accept that they
-// sit outside the byte-identical-export contract, like timing gauges.
+// of the input alone, so it is recorded in the metrics registry. Steal
+// tallies (steals, stolen tasks, attempts) are scheduling noise —
+// different on every run — so they reach only callers that ask for them
+// through `StealTelemetry`, never the registry: every metric export stays
+// byte-identical at any REPRO_THREADS.
 
 #include <cstddef>
 #include <cstdint>

@@ -34,9 +34,16 @@ Server::Server(netsim::MessageBus& bus, const core::serve::Service& service,
     ++stats_.tcp_requests;
     // Per-connection backpressure: replies still in flight on this
     // connection fill its window; excess requests are dropped and the
-    // client's retry policy owns recovery.
+    // client's retry policy owns recovery. A connection leaves the table
+    // once its replies have all completed or its stream state is gone, so
+    // the table never outgrows the stream's max_connections.
+    for (auto it = conn_outstanding_.begin(); it != conn_outstanding_.end();) {
+      std::erase_if(it->second,
+                    [now](double done_at) { return done_at <= now; });
+      const bool gone = it->second.empty() || !stream_.receiving(it->first);
+      it = gone ? conn_outstanding_.erase(it) : std::next(it);
+    }
     auto& outstanding = conn_outstanding_[StreamSocket::key(peer, conn)];
-    std::erase_if(outstanding, [now](double done_at) { return done_at <= now; });
     if (static_cast<int>(outstanding.size()) >= options_.per_conn_window) {
       ++stats_.backpressure_dropped;
       return;

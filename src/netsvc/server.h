@@ -96,6 +96,9 @@ class Server {
   net::Ipv4Addr address() const { return address_; }
   const ServerStats& stats() const { return stats_; }
   const StreamStats& stream_stats() const { return stream_.stats(); }
+  const StreamSocket& stream() const { return stream_; }
+  /// Connections whose reply deadlines backpressure still tracks.
+  std::size_t tracked_connections() const { return conn_outstanding_.size(); }
 
  private:
   /// Parses and answers one request; returns the reply bytes (empty:
@@ -120,7 +123,7 @@ class Server {
   std::vector<core::serve::LookupResult> results_;   // reused per request
   /// Completion deadlines of occupied service slots.
   core::engine::Timeline<std::uint8_t> slots_;
-  /// Outstanding reply deadlines per TCP connection (pruned as the
+  /// Outstanding reply deadlines per live TCP connection (pruned as the
   /// clock passes them).
   std::unordered_map<std::uint64_t, std::vector<double>> conn_outstanding_;
   ServerStats stats_;

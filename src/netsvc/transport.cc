@@ -54,7 +54,7 @@ void StreamSocket::ingest(const netsim::Datagram& datagram, net::SimTime now) {
       for (auto walk = recv_.begin(); walk != recv_.end(); ++walk) {
         if (walk->second.opened_seq < oldest->second.opened_seq) oldest = walk;
       }
-      recv_.erase(oldest);
+      drop(oldest->first);
       ++stats_.evicted;
     }
     it = recv_.emplace(conn_key, RecvState{}).first;
@@ -64,7 +64,7 @@ void StreamSocket::ingest(const netsim::Datagram& datagram, net::SimTime now) {
   if (offset != state.expected_offset) {
     // Gap: a segment was lost, blackholed, or jittered out of order.
     ++stats_.resets;
-    recv_.erase(it);
+    drop(conn_key);
     return;
   }
   state.buffer.insert(state.buffer.end(), payload.begin() + kSegmentHeader,
@@ -73,7 +73,7 @@ void StreamSocket::ingest(const netsim::Datagram& datagram, net::SimTime now) {
       static_cast<std::uint32_t>(payload.size() - kSegmentHeader);
   if (!drain_frames(datagram.src, conn, state, now)) {
     ++stats_.resets;
-    recv_.erase(conn_key);
+    drop(conn_key);
   }
 }
 
@@ -151,7 +151,10 @@ void StreamSocket::send_frame(net::Ipv4Addr peer, std::uint32_t conn,
 }
 
 void StreamSocket::close(net::Ipv4Addr peer, std::uint32_t conn) {
-  const std::uint64_t conn_key = key(peer, conn);
+  drop(key(peer, conn));
+}
+
+void StreamSocket::drop(std::uint64_t conn_key) {
   recv_.erase(conn_key);
   send_offsets_.erase(conn_key);
 }

@@ -98,7 +98,18 @@ class StreamSocket {
 
   /// Drops all local state for (peer, conn) — both the inbound
   /// reassembly buffer and the outbound offset. Not counted as a reset.
+  /// A reset or an eviction drops the same state: a connection whose
+  /// inbound stream is gone can never carry a request again, so a peer
+  /// that never calls close() (a server) stays within max_connections.
   void close(net::Ipv4Addr peer, std::uint32_t conn);
+
+  /// True while (peer, conn) — by `key` — has inbound reassembly state.
+  bool receiving(std::uint64_t conn_key) const {
+    return recv_.contains(conn_key);
+  }
+  /// Live per-connection entries: reassembly states and send offsets.
+  std::size_t receive_states() const { return recv_.size(); }
+  std::size_t send_states() const { return send_offsets_.size(); }
 
   const StreamStats& stats() const { return stats_; }
 
@@ -120,6 +131,8 @@ class StreamSocket {
   /// false when the stream declared an oversize frame (caller resets).
   bool drain_frames(net::Ipv4Addr peer, std::uint32_t conn, RecvState& state,
                     net::SimTime now);
+  /// Erases both maps' entries for one connection.
+  void drop(std::uint64_t conn_key);
 
   netsim::MessageBus& bus_;
   net::Ipv4Addr local_;

@@ -260,6 +260,27 @@ std::optional<CorpusView> CorpusView::open(const std::string& manifest_path,
   return view;
 }
 
+std::optional<CorpusView> CorpusView::from_bytes(CorpusFormat format,
+                                                std::string image) {
+  Member member;
+  member.meta.format = format;
+  member.meta.bytes = image.size();
+  FileBytes bytes(std::move(image));
+  if (format == CorpusFormat::kNcp1) {
+    member.packets = PacketTraceView::open(std::move(bytes));
+    if (!member.packets) return std::nullopt;
+    member.meta.records = member.packets->declared_count();
+  } else {
+    member.trace = TraceView::open(std::move(bytes));
+    if (!member.trace) return std::nullopt;
+    member.meta.records = member.trace->declared_count();
+  }
+  CorpusView view;
+  view.members_.push_back(std::move(member));
+  view.stats_.members_opened = 1;
+  return view;
+}
+
 std::uint64_t CorpusView::declared_records() const {
   std::uint64_t total = 0;
   for (const Member& m : members_) {

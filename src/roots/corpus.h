@@ -14,6 +14,9 @@
 //   NCCORPUS v1
 //   <file>\t<ncd1|ncp1>\t<records>\t<bytes>\t<crc32 hex>
 //
+// A single trace — a file, or an image in memory (`from_bytes`) — is
+// scanned as a one-member corpus, so the corpus scan is the only scan.
+//
 // Tolerance contract mirrors the trace readers: a member that cannot be
 // opened (missing file, bad magic) is skipped and counted, with its
 // declared records added to `records_skipped` — never fatal. CRC
@@ -155,6 +158,12 @@ class CorpusView {
   static std::optional<CorpusView> open(const std::string& manifest_path,
                                         OpenOptions options);
   static std::optional<CorpusView> open(const std::string& manifest_path);
+
+  /// A one-member corpus over an in-memory NCD1/NCP1 image (e.g.
+  /// `TraceFile::encode`). The member has no file name and no CRC.
+  /// Returns nullopt when the image's magic/count header is invalid.
+  static std::optional<CorpusView> from_bytes(CorpusFormat format,
+                                              std::string image);
 
   const std::vector<Member>& members() const { return members_; }
   const OpenStats& stats() const { return stats_; }

@@ -1,16 +1,15 @@
 #pragma once
 
-// Shared read-only file backing for the zero-copy trace readers: mmap when
+// Shared read-only backing for the zero-copy trace readers: mmap when
 // available (MADV_SEQUENTIAL — these files are scanned front to back),
-// falling back to a single slurp into a private buffer. Extracted from
-// TraceView so the record-framed (NCD1) and packet-framed (NCP1) views
-// share one open/release implementation.
+// falling back to a single slurp into a private buffer, or bytes already
+// in memory. The record-framed (NCD1) and packet-framed (NCP1) views
+// share this one open/release implementation.
 
 #include <cstddef>
 #include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace netclients::roots {
 
@@ -32,6 +31,11 @@ class FileBytes {
                                        std::size_t min_mmap_size = 1);
 
   FileBytes() = default;
+  /// Adopts bytes already in memory (an encoded trace image).
+  explicit FileBytes(std::string buffer)
+      : size_(buffer.size()), buffer_(std::move(buffer)) {
+    data_ = buffer_.data();
+  }
   FileBytes(FileBytes&& other) noexcept { *this = std::move(other); }
   FileBytes& operator=(FileBytes&& other) noexcept;
   FileBytes(const FileBytes&) = delete;
@@ -49,7 +53,7 @@ class FileBytes {
   const char* data_ = nullptr;
   std::size_t size_ = 0;
   bool mapped_ = false;
-  std::vector<char> buffer_;  // owns the bytes for the buffer backing
+  std::string buffer_;  // owns the bytes for the buffer backing
 };
 
 }  // namespace netclients::roots

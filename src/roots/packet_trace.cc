@@ -23,8 +23,12 @@ std::optional<PacketTraceView> PacketTraceView::open(const std::string& path,
                                                      Backing backing) {
   auto bytes = FileBytes::open(path, backing, kHeaderBytes);
   if (!bytes) return std::nullopt;
+  return open(std::move(*bytes));
+}
+
+std::optional<PacketTraceView> PacketTraceView::open(FileBytes bytes) {
   PacketTraceView view;
-  view.bytes_ = std::move(*bytes);
+  view.bytes_ = std::move(bytes);
   if (view.bytes_.size() < kHeaderBytes ||
       std::memcmp(view.bytes_.data(), kMagic, sizeof(kMagic)) != 0) {
     return std::nullopt;

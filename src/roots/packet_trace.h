@@ -48,9 +48,6 @@ class PacketRecordRef {
     return {p_ + kFixedBytes, wire_length()};
   }
 
-  /// Whole-record size on disk (capture header plus packet bytes).
-  std::size_t size_bytes() const { return kFixedBytes + wire_length(); }
-
  private:
   friend class PacketTraceView;
 
@@ -89,6 +86,8 @@ class PacketTraceView {
   /// surface as skip-and-count during traversal.
   static std::optional<PacketTraceView> open(const std::string& path,
                                              Backing backing = Backing::kAuto);
+  /// The same over bytes already open (or in memory).
+  static std::optional<PacketTraceView> open(FileBytes bytes);
 
   /// The header's (untrusted) record count.
   std::uint64_t declared_count() const { return declared_; }
@@ -149,8 +148,7 @@ class PacketTraceView {
     return cur;
   }
 
-  /// One tolerant full framing walk; same stats shape as
-  /// TraceFile::read_tolerant (skipped = declared minus framed).
+  /// One tolerant full framing walk (skipped = declared minus framed).
   TraceFile::ReadStats validate() const;
 
  private:

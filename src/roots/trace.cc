@@ -1,92 +1,60 @@
 #include "roots/trace.h"
 
-#include <algorithm>
 #include <fstream>
-
-#include "roots/trace_view.h"
 
 namespace netclients::roots {
 namespace {
 
 constexpr char kMagic[4] = {'N', 'C', 'D', '1'};
+/// Encoded bytes `write` buffers before handing them to the stream.
+constexpr std::size_t kFlushBytes = std::size_t{1} << 20;
 
 template <typename T>
-void put(std::ofstream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+void put(std::string* out, T value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+void append_header(std::string* out, std::uint64_t count) {
+  out->append(kMagic, sizeof(kMagic));
+  put(out, count);
+}
+
+void append_record(std::string* out, const TraceRecord& rec) {
+  put(out, rec.source.value());
+  put(out, rec.root_letter);
+  put(out, static_cast<std::uint16_t>(rec.qtype));
+  put(out, rec.timestamp);
+  put(out, static_cast<std::uint8_t>(rec.qname.labels().size()));
+  for (const auto& label : rec.qname.labels()) {
+    put(out, static_cast<std::uint8_t>(label.size()));
+    out->append(label);
+  }
 }
 
 }  // namespace
+
+std::string TraceFile::encode(const std::vector<TraceRecord>& records) {
+  std::string image;
+  append_header(&image, records.size());
+  for (const auto& rec : records) append_record(&image, rec);
+  return image;
+}
 
 bool TraceFile::write(const std::string& path,
                       const std::vector<TraceRecord>& records) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
-  out.write(kMagic, sizeof(kMagic));
-  put(out, static_cast<std::uint64_t>(records.size()));
+  std::string buffer;
+  append_header(&buffer, records.size());
   for (const auto& rec : records) {
-    put(out, rec.source.value());
-    put(out, rec.root_letter);
-    put(out, static_cast<std::uint16_t>(rec.qtype));
-    put(out, rec.timestamp);
-    put(out, static_cast<std::uint8_t>(rec.qname.labels().size()));
-    for (const auto& label : rec.qname.labels()) {
-      put(out, static_cast<std::uint8_t>(label.size()));
-      out.write(label.data(), static_cast<std::streamsize>(label.size()));
+    append_record(&buffer, rec);
+    if (buffer.size() >= kFlushBytes) {
+      out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+      buffer.clear();
     }
   }
+  out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
   return static_cast<bool>(out);
-}
-
-namespace {
-
-/// Shared core of the two readers: one slurp into a buffer-backed
-/// TraceView (no per-field ifstream reads), then a cursor walk that
-/// materializes each validated record. The cursor applies the same
-/// framing and structural rules as the old per-field parser — header
-/// validation, bounds, label/wire limits — so strict and tolerant reads
-/// cannot drift from each other or from the zero-copy scan path.
-bool read_materialized(const std::string& path, bool strict,
-                       std::vector<TraceRecord>* out_records,
-                       TraceFile::ReadStats* stats) {
-  out_records->clear();
-  if (stats) *stats = TraceFile::ReadStats{};
-  const auto view = TraceView::open(path, TraceView::Backing::kBuffer);
-  if (!view) return false;  // unopenable file or bad magic/count header
-  const std::uint64_t count = view->declared_count();
-  // The count is attacker/corruption-controlled: cap the speculative
-  // reservation (the vector still grows past it if the records are real).
-  out_records->reserve(
-      static_cast<std::size_t>(std::min<std::uint64_t>(count, 1u << 20)));
-  TraceView::Cursor cursor = view->cursor();
-  TraceRecordRef ref;
-  while (cursor.next(&ref)) out_records->push_back(ref.materialize());
-  if (cursor.index() < count) {  // structural error before the declared end
-    if (strict) {
-      out_records->clear();
-      return false;
-    }
-    if (stats) {
-      stats->records_read = out_records->size();
-      stats->records_skipped = count - cursor.index();
-      stats->truncated = true;
-    }
-    return true;  // keep what parsed; the damaged tail is skip-and-count
-  }
-  if (stats) stats->records_read = out_records->size();
-  return true;
-}
-
-}  // namespace
-
-bool TraceFile::read(const std::string& path,
-                     std::vector<TraceRecord>* out_records) {
-  return read_materialized(path, /*strict=*/true, out_records, nullptr);
-}
-
-bool TraceFile::read_tolerant(const std::string& path,
-                              std::vector<TraceRecord>* out_records,
-                              ReadStats* stats) {
-  return read_materialized(path, /*strict=*/false, out_records, stats);
 }
 
 }  // namespace netclients::roots

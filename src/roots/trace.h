@@ -25,9 +25,10 @@ struct TraceRecord {
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };
 
-/// Writes/reads the library's compact binary DITL format. The format is a
-/// faithful stand-in for DNS-OARC pcap-derived traces: per-record source,
-/// qname, qtype, timestamp, capturing root.
+/// The library's compact binary DITL format. The format is a faithful
+/// stand-in for DNS-OARC pcap-derived traces: per-record source, qname,
+/// qtype, timestamp, capturing root. Read it back zero-copy through
+/// `TraceView` (trace_view.h).
 ///
 /// Layout: magic "NCD1", u64 record count, then per record:
 ///   u32 source, u8 letter, u16 qtype, f64 timestamp, u8 label count,
@@ -36,23 +37,17 @@ class TraceFile {
  public:
   static bool write(const std::string& path,
                     const std::vector<TraceRecord>& records);
-  /// Returns empty + ok=false on any structural error.
-  static bool read(const std::string& path, std::vector<TraceRecord>* out);
+  /// The NCD1 image of `records`: exactly the bytes `write` puts in a file.
+  static std::string encode(const std::vector<TraceRecord>& records);
 
+  /// Outcome of one tolerant framing walk (TraceView/PacketTraceView
+  /// `validate`): the format has no resync marker, so the first structural
+  /// error ends the valid prefix and the declared remainder is skipped.
   struct ReadStats {
     std::uint64_t records_read = 0;
     std::uint64_t records_skipped = 0;  // declared but unparseable
     bool truncated = false;             // stream ended mid-record
   };
-  /// Tolerant variant for scans that must survive corrupt captures: keeps
-  /// every record parsed before the first structural error and counts the
-  /// remainder as skipped — never throws, never crashes. The format has
-  /// no record framing, so parsing cannot resync past a damaged record.
-  /// Returns false only when the file cannot be opened or the magic/count
-  /// header itself is invalid.
-  static bool read_tolerant(const std::string& path,
-                            std::vector<TraceRecord>* out,
-                            ReadStats* stats = nullptr);
 };
 
 }  // namespace netclients::roots

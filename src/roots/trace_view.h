@@ -2,18 +2,17 @@
 
 // Zero-copy ingestion for the binary DITL trace format (NCD1).
 //
-// `TraceFile::read_tolerant` materializes every record — a std::string per
-// label, a std::vector per name, the whole trace resident before the scan
-// starts. At DITL scale (billions of records) the scan is allocation-bound
-// long before it is CPU-bound. `TraceView` is the streaming alternative:
-// the file is mmap-ed (or slurped once into a private buffer when mapping
-// is unavailable), the NCD1 framing is validated once, and records are
-// exposed as `TraceRecordRef`s — fixed header fields decoded in place,
-// labels as std::string_views into the mapped bytes, zero per-record heap
-// work. Tolerant skip-and-count semantics are identical to
-// `read_tolerant`: the format has no record framing, so the first
-// structural error ends the valid prefix and the declared remainder is
-// counted as skipped.
+// At DITL scale (billions of records) a scan that materializes every
+// record — a std::string per label, a std::vector per name, the whole
+// trace resident before the scan starts — is allocation-bound long before
+// it is CPU-bound. `TraceView` is the streaming reader: the file is
+// mmap-ed (or slurped once into a private buffer when mapping is
+// unavailable, or adopted from an in-memory image), the NCD1 framing is
+// validated once, and records are exposed as `TraceRecordRef`s — fixed
+// header fields decoded in place, labels as std::string_views into the
+// bytes, zero per-record heap work. Reads are tolerant: the format has no
+// record framing, so the first structural error ends the valid prefix and
+// the declared remainder is counted as skipped.
 //
 // Lifetime contract: a TraceRecordRef (and every string_view it hands
 // out) borrows the view's mapping and is valid only while the TraceView
@@ -77,12 +76,8 @@ class TraceRecordRef {
     }
   }
 
-  /// Whole-record size on disk (fixed header plus label region).
-  std::size_t size_bytes() const { return size_; }
-
   /// Deep copy into an owning TraceRecord (allocates — the slow path the
-  /// view exists to avoid; used by the materializing readers and by
-  /// consumers that outlive the mapping).
+  /// view exists to avoid; for consumers that outlive the mapping).
   TraceRecord materialize() const;
 
  private:
@@ -107,7 +102,6 @@ class TraceRecordRef {
   }
 
   const char* p_ = nullptr;  // fixed header start
-  std::size_t size_ = 0;     // validated whole-record byte size
 };
 
 /// An open NCD1 trace: header validated once at open(), records decoded
@@ -116,12 +110,14 @@ class TraceView {
  public:
   using Backing = FileBytes::Backing;
 
-  /// Validates magic + count header. Returns nullopt exactly when
-  /// `read_tolerant` would return false: unopenable file or invalid
-  /// magic/count header. Damaged record bytes are *not* an open error —
-  /// they surface as skip-and-count during cursor traversal.
+  /// Validates magic + count header. Returns nullopt exactly for an
+  /// unopenable file or an invalid magic/count header. Damaged record
+  /// bytes are *not* an open error — they surface as skip-and-count
+  /// during cursor traversal.
   static std::optional<TraceView> open(const std::string& path,
                                        Backing backing = Backing::kAuto);
+  /// The same over bytes already open (or in memory).
+  static std::optional<TraceView> open(FileBytes bytes);
 
   /// The header's (untrusted) record count. Traversal never yields more
   /// than this many records, and yields fewer only on a structural error.
@@ -131,10 +127,9 @@ class TraceView {
   /// Record-region size: file bytes past the 12-byte header.
   std::size_t payload_bytes() const { return bytes_.size() - kHeaderBytes; }
 
-  /// Forward decoder over the record region. Validation rules mirror the
-  /// materializing reader exactly (same bounds checks, same label-length
-  /// and wire-length limits as DnsName::from_labels), so the two paths
-  /// accept byte-identical prefixes of any input.
+  /// Forward decoder over the record region. Validation applies the same
+  /// label-length and wire-length limits as DnsName::from_labels, so every
+  /// accepted record materializes.
   class Cursor {
    public:
     /// Byte offset (from the first record) of the next record boundary.
@@ -165,7 +160,6 @@ class TraceView {
       }
       if (wire > 255) return false;
       ref->p_ = p;
-      ref->size_ = static_cast<std::size_t>(q - p);
       p_ = q;
       ++index_;
       return true;
@@ -196,7 +190,7 @@ class TraceView {
     return cur;
   }
 
-  /// One tolerant full walk; same stats as TraceFile::read_tolerant.
+  /// One tolerant full walk of the framing.
   TraceFile::ReadStats validate() const;
 
  private:

@@ -198,4 +198,18 @@ DitlStats generate_ditl(
   return stats;
 }
 
+std::optional<roots::CorpusView> write_ditl_corpus(
+    const World& world, const roots::RootSystem& roots,
+    const DitlOptions& options, const std::filesystem::path& manifest_path) {
+  std::error_code error;
+  std::filesystem::create_directories(manifest_path.parent_path(), error);
+  roots::CorpusWriter::Options corpus;
+  corpus.records_per_member = std::uint64_t{1} << 18;
+  roots::CorpusWriter writer(manifest_path.string(), corpus);
+  generate_ditl(world, roots, options,
+                [&](const roots::TraceRecord& rec) { writer.add(rec); });
+  if (!writer.finish()) return std::nullopt;
+  return roots::CorpusView::open(manifest_path.string());
+}
+
 }  // namespace netclients::sim

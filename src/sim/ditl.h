@@ -1,8 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <functional>
+#include <optional>
 
+#include "roots/corpus.h"
 #include "roots/root_server.h"
 #include "roots/trace.h"
 #include "sim/world.h"
@@ -52,6 +55,16 @@ DitlStats generate_ditl(
     const World& world, const roots::RootSystem& roots,
     const DitlOptions& options,
     const std::function<void(const roots::TraceRecord&)>& sink);
+
+/// Writes the generate_ditl stream once into an NCCORPUS corpus of NCD1
+/// members at `manifest_path` (roots/corpus.h; parent directories are
+/// created), rotating to a new member every 2^18 records so the writer
+/// never buffers the whole capture, and opens it for
+/// core::ChromiumCounter::process_corpus. Returns nullopt on any I/O
+/// failure.
+std::optional<roots::CorpusView> write_ditl_corpus(
+    const World& world, const roots::RootSystem& roots,
+    const DitlOptions& options, const std::filesystem::path& manifest_path);
 
 /// Ground truth for pipeline validation: expected Chromium probes per day
 /// (unsampled) attributable to each resolver source address.

@@ -5,13 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 
 #include "core/chromium/chromium.h"
 #include "core/chromium/sketch.h"
 #include "net/rng.h"
+#include "roots/corpus.h"
 #include "roots/root_server.h"
 #include "roots/trace.h"
+#include "scan_reference.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
 
@@ -175,11 +176,11 @@ TEST(Counter, EndToEndAccuracyAgainstPlantedTruth) {
   const sim::World world = sim::World::generate(config);
   const roots::RootSystem roots = roots::RootSystem::ditl_2020(config.seed);
   sim::DitlOptions ditl;
-  const ChromiumCounter counter;
-  const auto result = counter.process(
-      [&](const std::function<void(const roots::TraceRecord&)>& emit) {
-        sim::generate_ditl(world, roots, ditl, emit);
-      });
+  std::vector<roots::TraceRecord> trace;
+  sim::generate_ditl(world, roots, ditl, [&](const roots::TraceRecord& rec) {
+    trace.push_back(rec);
+  });
+  const auto result = ChromiumCounter().process(trace);
   const auto truth = sim::chromium_ground_truth(world);
   // Aggregate totals: captured counts should be a stable fraction (letter
   // capture ~40-55%) of the true probe volume over 2 days.
@@ -209,60 +210,49 @@ TEST(Counter, EndToEndAccuracyAgainstPlantedTruth) {
   EXPECT_LT(static_cast<double>(detected) / busy, 1.0);
 }
 
-TEST(Counter, ProcessFromTraceFileRoundTrip) {
-  std::vector<roots::TraceRecord> trace = {
-      record(1, "qpwoeiruty", 0),
-      record(2, "mznxbcvlak", 5),
-  };
-  const std::string path = "chromium_trace_test.bin";
-  ASSERT_TRUE(roots::TraceFile::write(path, trace));
-  std::vector<roots::TraceRecord> loaded;
-  ASSERT_TRUE(roots::TraceFile::read(path, &loaded));
-  const ChromiumCounter counter;
-  const auto direct = counter.process(trace);
-  const auto via_file = counter.process(loaded);
-  EXPECT_EQ(direct.probes_by_resolver, via_file.probes_by_resolver);
-  std::remove(path.c_str());
+TEST(Counter, ProcessMatchesTheSerialReference) {
+  std::vector<roots::TraceRecord> trace;
+  for (int i = 0; i < 40; ++i) {
+    trace.push_back(record(0x0A000001 + i % 5, i % 4 ? "qpwoeiruty"
+                                                     : "mznxbcvlak",
+                           i * 3600.0));
+    trace.push_back(record(0x0B000001 + i % 3, "www.example.com", i * 60.0));
+  }
+  for (const std::uint32_t threshold : {2u, 7u, 100u}) {
+    ChromiumOptions options;
+    options.daily_collision_threshold = threshold;
+    const auto result = ChromiumCounter(options).process(trace);
+    EXPECT_TRUE(same_scan(result, reference_scan(trace, options)))
+        << "threshold=" << threshold;
+    EXPECT_EQ(result.records_skipped, 0u);
+  }
 }
 
-TEST(Counter, ProcessFileMatchesInMemoryAndReportsNoSkips) {
-  std::vector<roots::TraceRecord> trace = {
-      record(1, "qpwoeiruty", 0),
-      record(2, "mznxbcvlak", 5),
-  };
-  const std::string path = "chromium_process_file_test.bin";
-  ASSERT_TRUE(roots::TraceFile::write(path, trace));
-  const ChromiumCounter counter;
-  const auto direct = counter.process(trace);
-  const auto via_file = counter.process_file(path);
-  ASSERT_TRUE(via_file.has_value());
-  EXPECT_EQ(direct.probes_by_resolver, via_file->probes_by_resolver);
-  EXPECT_EQ(via_file->records_skipped, 0u);
-  std::remove(path.c_str());
-}
-
-TEST(Counter, ProcessFileSkipsAndCountsCorruptTail) {
+TEST(Counter, CorruptTailIsSkippedAndCounted) {
   std::vector<roots::TraceRecord> trace = {
       record(1, "qpwoeiruty", 0),
       record(2, "mznxbcvlak", 5),
       record(3, "alskdjfhgq", 9),
   };
-  const std::string path = "chromium_corrupt_tail_test.bin";
-  ASSERT_TRUE(roots::TraceFile::write(path, trace));
   // Chop into the last record: the scan must keep the intact prefix.
-  std::filesystem::resize_file(path,
-                               std::filesystem::file_size(path) - 3);
+  std::string image = roots::TraceFile::encode(trace);
+  image.resize(image.size() - 3);
+  const auto corpus = roots::CorpusView::from_bytes(roots::CorpusFormat::kNcd1,
+                                                    std::move(image));
+  ASSERT_TRUE(corpus.has_value());
   const ChromiumCounter counter;
-  const auto result = counter.process_file(path);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->records_scanned, 2u);
-  EXPECT_EQ(result->records_skipped, 1u);
-  std::remove(path.c_str());
+  const auto result = counter.process_corpus(*corpus);
+  EXPECT_EQ(result.records_scanned, 2u);
+  EXPECT_EQ(result.records_skipped, 1u);
+  trace.pop_back();
+  EXPECT_TRUE(same_scan(result, reference_scan(trace, counter.options())));
 }
 
-TEST(Counter, ProcessFileRejectsUnreadableFile) {
-  const ChromiumCounter counter;
-  EXPECT_FALSE(counter.process_file("no_such_trace.bin").has_value());
+TEST(Counter, ImageWithBadHeaderIsRejected) {
+  EXPECT_FALSE(
+      roots::CorpusView::from_bytes(roots::CorpusFormat::kNcd1, "NOPE"));
+  EXPECT_FALSE(roots::CorpusView::from_bytes(
+      roots::CorpusFormat::kNcp1, roots::TraceFile::encode({})));
 }
 
 // -------------------------------------------------------- collision study

@@ -1,17 +1,18 @@
 // Sharded-corpus + work-stealing suite (labels: determinism, tsan): the
-// cross-file corpus scan must be byte-identical to the single-file view
-// scan and the materializing reference at every REPRO_THREADS and every
-// member split — determinism comes from the canonical (file, chunk)
-// merge order, never from steal interleaving. Also covers the
-// RecordChunker edge cases the corpus partition leans on (boundary
-// exactly at EOF, empty members, split invariance) and the steal_map
-// scheduler itself (index-ordered results, exception propagation,
-// telemetry).
+// corpus scan must be byte-identical to the serial reference
+// (tests/scan_reference.h) at every REPRO_THREADS and every member split —
+// determinism comes from the canonical (file, chunk) merge order, never
+// from steal interleaving. Also covers the RecordChunker edge cases the
+// corpus partition leans on (boundary exactly at EOF, empty members, split
+// invariance), the steal_map scheduler itself (index-ordered results,
+// exception propagation, telemetry, completion under churn), and replays
+// the fuzz_corpus seed corpus.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <numeric>
@@ -27,6 +28,7 @@
 #include "roots/root_server.h"
 #include "roots/trace.h"
 #include "roots/trace_view.h"
+#include "scan_reference.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
 
@@ -54,7 +56,7 @@ struct CorpusFixture {
                        });
     ChromiumOptions options;
     options.sample_rate = kSampleRate;
-    reference = ChromiumCounter(options).process(records);
+    reference = reference_scan(records, options);
   }
 };
 
@@ -72,17 +74,8 @@ ChromiumOptions scan_options(int threads, std::size_t chunk_records = 0) {
 }
 
 void expect_identical(const ChromiumResult& got, const ChromiumResult& want,
-                      const char* what) {
-  EXPECT_EQ(got.records_scanned, want.records_scanned) << what;
-  EXPECT_EQ(got.signature_matches, want.signature_matches) << what;
-  EXPECT_EQ(got.rejected_collisions, want.rejected_collisions) << what;
-  ASSERT_EQ(got.probes_by_resolver.size(), want.probes_by_resolver.size())
-      << what;
-  for (const auto& [addr, count] : want.probes_by_resolver) {
-    const auto it = got.probes_by_resolver.find(addr);
-    ASSERT_NE(it, got.probes_by_resolver.end()) << what;
-    EXPECT_EQ(it->second, count) << what;
-  }
+                      const std::string& what) {
+  EXPECT_TRUE(same_scan(got, want)) << what;
 }
 
 // ---------------------------------------------------------- steal_map
@@ -247,9 +240,8 @@ TEST(Corpus, ParityAcrossThreadsAndSplits) {
       const auto result =
           ChromiumCounter(scan_options(threads)).process_corpus(*corpus);
       expect_identical(result, f.reference,
-                       ("files=" + std::to_string(files) +
-                        " threads=" + std::to_string(threads))
-                           .c_str());
+                       "files=" + std::to_string(files) +
+                           " threads=" + std::to_string(threads));
     }
   }
 }
@@ -405,17 +397,57 @@ TEST(Corpus, MixedFormatMembersScanIdentically) {
   }
 }
 
-TEST(Corpus, ProcessCorpusFileMatchesOpenThenProcess) {
+TEST(Corpus, InMemoryTraceScansLikeItsCorpus) {
+  // process(vector) encodes the records into a one-member in-memory
+  // corpus: the same scan, the same answer.
   const auto& f = fixture();
-  const std::string manifest_path = "corpus_file.manifest";
-  ASSERT_TRUE(roots::write_corpus(manifest_path, f.records, 2));
-  const auto via_file = ChromiumCounter(scan_options(2))
-                            .process_corpus_file(manifest_path);
-  ASSERT_TRUE(via_file.has_value());
-  expect_identical(*via_file, f.reference, "process_corpus_file");
-  EXPECT_FALSE(ChromiumCounter(scan_options(2))
-                   .process_corpus_file("no_such.manifest")
-                   .has_value());
+  for (const int threads : {1, 8}) {
+    expect_identical(ChromiumCounter(scan_options(threads)).process(f.records),
+                     f.reference, "process(vector)");
+  }
+}
+
+TEST(Corpus, FuzzSeedCorpusReplays) {
+  // Every checked-in fuzz_corpus seed, replayed with the harness's
+  // properties: the first byte picks the member format, the rest is the
+  // member image; a scan accounts for every declared record.
+  const std::filesystem::path dir = NETCLIENTS_DITL_CORPUS_DIR;
+  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
+  std::size_t seeds = 0, scanned = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    ++seeds;
+    SCOPED_TRACE(entry.path().filename().string());
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in), {}};
+    (void)roots::CorpusManifest::decode(bytes);
+    if (bytes.empty()) continue;
+    const auto corpus = roots::CorpusView::from_bytes(
+        bytes[0] & 1 ? roots::CorpusFormat::kNcp1 : roots::CorpusFormat::kNcd1,
+        bytes.substr(1));
+    if (!corpus) continue;
+    ++scanned;
+    const auto result = ChromiumCounter(scan_options(1)).process_corpus(*corpus);
+    EXPECT_EQ(result.records_scanned + result.records_skipped,
+              corpus->declared_records());
+  }
+  EXPECT_GE(seeds, 6u) << "seed corpus went missing";
+  EXPECT_GE(scanned, 4u) << "corpus lost its valid-image seeds";
+}
+
+// ------------------------------------------------------------- completion
+
+TEST(Completion, ThousandsOfTinyMapsAllComplete) {
+  // Each map's completion latch lives in the caller's frame; a worker
+  // that touched it after the caller returned would show up here as a
+  // hang, a crash, or (under tsan) a race on the next map's frame.
+  const auto square = [](std::size_t i) { return i * i; };
+  for (std::size_t round = 0; round < 3000; ++round) {
+    const std::size_t n = 2 + round % 7;
+    const auto mapped = exec::parallel_map(n, 4, square);
+    ASSERT_EQ(mapped.back(), (n - 1) * (n - 1));
+    ASSERT_EQ(exec::steal_map(n, 4, square), mapped);
+  }
 }
 
 }  // namespace

@@ -238,9 +238,9 @@ TEST(Determinism, MetricsJsonIdenticalAcrossThreadCounts) {
   // for a fixed seed, the exported metrics JSON (timings excluded — span
   // wall-clock is the one intentionally nondeterministic field) is
   // byte-identical between a serial and an 8-way run. The Chromium scan is
-  // included via its streaming replay path on purpose: its ChunkedScatter
-  // flushes in thread-count-sized batches, so any metric keyed to fan-out
-  // *calls* (rather than shards) would diverge here.
+  // included on purpose: its partition and both passes fan out through
+  // parallel_map and steal_map, so any metric keyed to fan-out *calls* or
+  // steals (rather than shards) would diverge here.
   sim::WorldConfig config;
   config.scale = 1.0 / 2048;
   const sim::World world = sim::World::generate(config);
@@ -259,10 +259,7 @@ TEST(Determinism, MetricsJsonIdenticalAcrossThreadCounts) {
     chromium.sample_rate = ditl.sample_rate;
     chromium.chunk_records = 1 << 10;
     chromium.threads = threads;
-    ChromiumCounter(chromium).process(
-        [&](const std::function<void(const roots::TraceRecord&)>& emit) {
-          for (const roots::TraceRecord& r : trace) emit(r);
-        });
+    ChromiumCounter(chromium).process(trace);
     obs::ExportOptions options;
     options.include_timings = false;
     return obs::to_json(obs::Registry::global().snapshot(), options);

@@ -8,11 +8,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 
 #include "dns/packet.h"
 #include "dns/wire.h"
 #include "net/rng.h"
 #include "roots/trace.h"
+#include "roots/trace_view.h"
 
 namespace netclients::dns {
 namespace {
@@ -175,7 +177,7 @@ TEST(WireFuzz, DeepPointerChainRejected) {
 
 class TraceFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(TraceFuzz, MutatedTraceFilesNeverCrashTolerantReader) {
+TEST_P(TraceFuzz, MutatedTraceFilesNeverCrashTheView) {
   net::Rng rng(GetParam());
   const std::string path =
       "trace_fuzz_" + std::to_string(GetParam()) + ".bin";
@@ -188,38 +190,42 @@ TEST_P(TraceFuzz, MutatedTraceFilesNeverCrashTolerantReader) {
                                                      : "www.example.com");
       rec.timestamp = static_cast<double>(rng.below(1000));
     }
-    ASSERT_TRUE(roots::TraceFile::write(path, records));
     // ...then random byte flips / truncation applied to the raw file.
-    std::vector<std::uint8_t> bytes;
-    {
-      std::ifstream in(path, std::ios::binary);
-      bytes.assign(std::istreambuf_iterator<char>(in), {});
-    }
+    std::string bytes = roots::TraceFile::encode(records);
     const int mutations = 1 + static_cast<int>(rng.below(5));
     for (int m = 0; m < mutations && !bytes.empty(); ++m) {
       if (rng.bernoulli(0.3)) {
         bytes.resize(rng.below(bytes.size() + 1));
-      } else if (!bytes.empty()) {
-        bytes[rng.below(bytes.size())] ^=
-            static_cast<std::uint8_t>(1 + rng.below(255));
+      } else {
+        bytes[rng.below(bytes.size())] ^= static_cast<char>(1 + rng.below(255));
       }
     }
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(reinterpret_cast<const char*>(bytes.data()),
-                static_cast<std::streamsize>(bytes.size()));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    // Both backings must terminate without crashing or reading past the
+    // bytes, agree with each other, and keep stats consistent with what
+    // the cursor actually accepts.
+    std::optional<std::vector<roots::TraceRecord>> first;
+    for (const auto backing : {roots::TraceView::Backing::kAuto,
+                               roots::TraceView::Backing::kBuffer}) {
+      const auto view = roots::TraceView::open(path, backing);
+      std::optional<std::vector<roots::TraceRecord>> accepted;
+      if (view) {
+        accepted.emplace();
+        auto cursor = view->cursor();
+        roots::TraceRecordRef ref;
+        while (cursor.next(&ref)) accepted->push_back(ref.materialize());
+        const auto stats = view->validate();
+        EXPECT_EQ(stats.records_read, accepted->size());
+        EXPECT_EQ(stats.records_read + stats.records_skipped,
+                  view->declared_count());
+        if (stats.records_skipped > 0) EXPECT_TRUE(stats.truncated);
+      }
+      if (backing == roots::TraceView::Backing::kAuto) {
+        first = std::move(accepted);
+      } else {
+        EXPECT_EQ(accepted, first);
+      }
     }
-    // Tolerant read must terminate without crashing, and its stats must
-    // agree with what it actually kept.
-    std::vector<roots::TraceRecord> loaded;
-    roots::TraceFile::ReadStats stats;
-    if (roots::TraceFile::read_tolerant(path, &loaded, &stats)) {
-      EXPECT_EQ(stats.records_read, loaded.size());
-      if (stats.records_skipped > 0) EXPECT_TRUE(stats.truncated);
-    }
-    // The strict reader must also never crash on the same mutant.
-    std::vector<roots::TraceRecord> strict;
-    (void)roots::TraceFile::read(path, &strict);
   }
   std::filesystem::remove(path);
 }

@@ -49,11 +49,11 @@ struct Study {
     ditl.sample_rate = 1.0 / 16;  // streaming-sampled, counts scaled back
     core::ChromiumOptions chromium_options;
     chromium_options.sample_rate = ditl.sample_rate;
-    const core::ChromiumCounter counter(chromium_options);
-    chromium = counter.process(
-        [&](const std::function<void(const roots::TraceRecord&)>& emit) {
-          sim::generate_ditl(world, roots, ditl, emit);
-        });
+    std::vector<roots::TraceRecord> trace;
+    sim::generate_ditl(world, roots, ditl, [&](const roots::TraceRecord& rec) {
+      trace.push_back(rec);
+    });
+    chromium = core::ChromiumCounter(chromium_options).process(trace);
 
     ms = cdn::observe_cdn(world, {});
     apnic_est = apnic::estimate_population(world, {});

@@ -672,6 +672,26 @@ TEST_F(NetsvcSuite, PerConnectionBackpressureDropsExcessRequests) {
   EXPECT_EQ(world.server->stats().responses, 1u);
 }
 
+TEST_F(NetsvcSuite, PerConnectionStateStaysWithinMaxConnections) {
+  // The client opens a fresh connection per TCP attempt and closes it;
+  // the server never calls close(). Its per-connection tables must still
+  // stay within the stream's max_connections, however many sessions run.
+  ServerOptions server_options;
+  server_options.stream.max_connections = 4;
+  ClientOptions client_options;
+  client_options.transport = googledns::Transport::kTcp;
+  client_options.batch_per_message = 8;
+  World world(chain(), client_options, server_options);
+  const auto queries = make_queries(8 * 48, 0xB0DD);
+  const auto got = world.client->lookup_many(queries);
+  EXPECT_EQ(got, direct(world.service, queries));
+  EXPECT_GE(world.client->stats().tcp_queries,
+            10 * server_options.stream.max_connections);
+  EXPECT_LE(world.server->tracked_connections(), 4u);
+  EXPECT_LE(world.server->stream().receive_states(), 4u);
+  EXPECT_LE(world.server->stream().send_states(), 4u);
+}
+
 TEST_F(NetsvcSuite, MalformedAndNonProfileQueriesAreCountedNotAnswered) {
   World world(chain());
   std::vector<std::vector<std::uint8_t>> replies;

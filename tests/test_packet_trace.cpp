@@ -1,11 +1,11 @@
 // Packet-framed (NCP1) trace suite (labels: determinism, tsan): the
 // capture-shaped sibling of test_trace_view. write_packet_trace must
 // round-trip records through real RFC 1035 packets, the framing cursor
-// must skip-and-count damaged tails exactly like the NCD1 cursor, and
-// ChromiumCounter::process_packets — which pays a full zero-copy wire
-// parse per packet inside the parallel scan — must produce byte-identical
-// results to the materializing process() over the same records at every
-// thread count.
+// must skip-and-count damaged tails exactly like the NCD1 cursor, and the
+// corpus scan of an NCP1 member — which pays a full zero-copy wire parse
+// per packet inside the parallel scan — must produce byte-identical
+// results to the serial reference (tests/scan_reference.h) over the same
+// records at every thread count.
 
 #include <gtest/gtest.h>
 
@@ -13,15 +13,18 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/chromium/chromium.h"
 #include "dns/packet.h"
 #include "net/rng.h"
+#include "roots/corpus.h"
 #include "roots/packet_trace.h"
 #include "roots/root_server.h"
 #include "roots/trace.h"
+#include "scan_reference.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
 
@@ -55,11 +58,22 @@ const PacketFixture& fixture() {
   return *f;
 }
 
-bool identical(const ChromiumResult& a, const ChromiumResult& b) {
-  return a.records_scanned == b.records_scanned &&
-         a.signature_matches == b.signature_matches &&
-         a.rejected_collisions == b.rejected_collisions &&
-         a.probes_by_resolver == b.probes_by_resolver;
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+ChromiumOptions scan_options(int threads = 0) {
+  ChromiumOptions options;
+  options.sample_rate = kSampleRate;
+  options.threads = threads;
+  return options;
+}
+
+/// An NCP1 image as a one-member corpus.
+std::optional<roots::CorpusView> packet_corpus(std::string image) {
+  return roots::CorpusView::from_bytes(roots::CorpusFormat::kNcp1,
+                                       std::move(image));
 }
 
 TEST(PacketTrace, WriteOpenRoundTripsEveryRecord) {
@@ -93,23 +107,20 @@ TEST(PacketTrace, WriteOpenRoundTripsEveryRecord) {
   EXPECT_FALSE(stats.truncated);
 }
 
-TEST(PacketTrace, ProcessPacketsMatchesMaterializingProcess) {
+TEST(PacketTrace, ScanMatchesTheReference) {
   const auto& f = fixture();
-  ChromiumOptions options;
-  options.sample_rate = kSampleRate;
-  const ChromiumResult reference = ChromiumCounter(options).process(f.records);
+  const ChromiumResult reference = reference_scan(f.records, scan_options());
   EXPECT_GT(reference.signature_matches, 0u);
+  const auto corpus = packet_corpus(slurp(f.path));
+  ASSERT_TRUE(corpus.has_value());
   for (const int threads : {1, 2, 8}) {
     for (const std::size_t chunk : {std::size_t{256}, std::size_t{1} << 15}) {
-      ChromiumOptions check = options;
-      check.threads = threads;
+      ChromiumOptions check = scan_options(threads);
       check.chunk_records = chunk;
-      const auto result =
-          ChromiumCounter(check).process_packet_file(f.path);
-      ASSERT_TRUE(result.has_value());
-      EXPECT_TRUE(identical(*result, reference))
+      const auto result = ChromiumCounter(check).process_corpus(*corpus);
+      EXPECT_TRUE(same_scan(result, reference))
           << "threads=" << threads << " chunk=" << chunk;
-      EXPECT_EQ(result->records_skipped, 0u);
+      EXPECT_EQ(result.records_skipped, 0u);
     }
   }
 }
@@ -117,69 +128,53 @@ TEST(PacketTrace, ProcessPacketsMatchesMaterializingProcess) {
 TEST(PacketTrace, DamagedTailSkipsAndCounts) {
   const auto& f = fixture();
   ASSERT_GT(f.records.size(), 8u);
-  // Truncate the file mid-frame: everything before the cut survives, the
+  // Truncate the image mid-frame: everything before the cut survives, the
   // declared remainder is counted as skipped — never an error.
-  std::vector<char> bytes;
-  {
-    std::ifstream in(f.path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  const std::string cut_path = "packet_trace_cut.trace";
-  {
-    std::ofstream out(cut_path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size() * 3 / 4));
-  }
-  const auto view = roots::PacketTraceView::open(cut_path);
-  ASSERT_TRUE(view.has_value());
-  const auto stats = view->validate();
+  std::string bytes = slurp(f.path);
+  bytes.resize(bytes.size() * 3 / 4);
+  const auto corpus = packet_corpus(std::move(bytes));
+  ASSERT_TRUE(corpus.has_value());
+  const auto stats = corpus->members().front().packets->validate();
   EXPECT_LT(stats.records_read, f.records.size());
   EXPECT_EQ(stats.records_read + stats.records_skipped, f.records.size());
   EXPECT_TRUE(stats.truncated);
 
-  ChromiumOptions options;
-  options.sample_rate = kSampleRate;
-  const auto result = ChromiumCounter(options).process_packet_file(cut_path);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->records_scanned, stats.records_read);
-  EXPECT_EQ(result->records_skipped, stats.records_skipped);
-  std::filesystem::remove(cut_path);
+  const std::vector<roots::TraceRecord> parsed(
+      f.records.begin(),
+      f.records.begin() + static_cast<std::ptrdiff_t>(stats.records_read));
+  for (const int threads : {1, 8}) {
+    const auto result =
+        ChromiumCounter(scan_options(threads)).process_corpus(*corpus);
+    EXPECT_TRUE(same_scan(result, reference_scan(parsed, scan_options())));
+    EXPECT_EQ(result.records_skipped, stats.records_skipped);
+  }
 }
 
 TEST(PacketTrace, CorruptPacketIsScannedNonMatchNotFramingError) {
   // Flip bytes inside one packet's DNS payload (not its capture header):
-  // framing still walks the full file, the packet just fails to parse in
-  // the scan — records_scanned is unchanged, skip count stays zero.
+  // framing still walks the full image, the packet just fails to parse in
+  // the scan — it is scanned, it never matches, and skip count stays zero.
   const auto& f = fixture();
-  std::vector<char> bytes;
-  {
-    std::ifstream in(f.path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
+  std::string bytes = slurp(f.path);
   // First frame starts at 12; its packet bytes start 15 further in.
   // Zero the packet's header counts region to make it unparseable.
   for (std::size_t b = 12 + 15; b < 12 + 15 + 12 && b < bytes.size(); ++b) {
     bytes[b] = static_cast<char>(0xFF);
   }
-  const std::string corrupt_path = "packet_trace_corrupt.trace";
-  {
-    std::ofstream out(corrupt_path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  const auto view = roots::PacketTraceView::open(corrupt_path);
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(view->validate().records_read, f.records.size());
+  const auto corpus = packet_corpus(std::move(bytes));
+  ASSERT_TRUE(corpus.has_value());
+  EXPECT_EQ(corpus->members().front().packets->validate().records_read,
+            f.records.size());
 
-  ChromiumOptions options;
-  options.sample_rate = kSampleRate;
-  const auto clean = ChromiumCounter(options).process_packet_file(f.path);
-  const auto corrupt =
-      ChromiumCounter(options).process_packet_file(corrupt_path);
-  ASSERT_TRUE(clean.has_value() && corrupt.has_value());
-  EXPECT_EQ(corrupt->records_scanned, clean->records_scanned);
-  EXPECT_EQ(corrupt->records_skipped, 0u);
-  EXPECT_LE(corrupt->signature_matches, clean->signature_matches);
-  std::filesystem::remove(corrupt_path);
+  // The reference sees the corrupt packet as a record that cannot match.
+  std::vector<roots::TraceRecord> expected = f.records;
+  expected.front().qname = *dns::DnsName::parse("corrupt.invalid");
+  for (const int threads : {1, 8}) {
+    const auto result =
+        ChromiumCounter(scan_options(threads)).process_corpus(*corpus);
+    EXPECT_TRUE(same_scan(result, reference_scan(expected, scan_options())));
+    EXPECT_EQ(result.records_skipped, 0u);
+  }
 }
 
 TEST(PacketTrace, OpenRejectsWrongMagicAndMissingFile) {
@@ -195,15 +190,9 @@ TEST(PacketTrace, OpenRejectsWrongMagicAndMissingFile) {
 
 TEST(PacketTrace, FuzzedFramesNeverCrash) {
   net::Rng rng(0x9C);
-  const auto& f = fixture();
-  std::vector<char> clean;
-  {
-    std::ifstream in(f.path, std::ios::binary);
-    clean.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  const std::string fuzz_path = "packet_trace_fuzz.trace";
+  const std::string clean = slurp(fixture().path);
   for (int iter = 0; iter < 40; ++iter) {
-    std::vector<char> bytes = clean;
+    std::string bytes = clean;
     const int mutations = 1 + static_cast<int>(rng.below(6));
     for (int m = 0; m < mutations && !bytes.empty(); ++m) {
       if (rng.bernoulli(0.3)) {
@@ -213,22 +202,19 @@ TEST(PacketTrace, FuzzedFramesNeverCrash) {
             static_cast<char>(1 + rng.below(255));
       }
     }
-    {
-      std::ofstream out(fuzz_path, std::ios::binary | std::ios::trunc);
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-    const auto view = roots::PacketTraceView::open(fuzz_path);
-    if (!view) continue;  // header damaged: rejected, fine
-    const auto stats = view->validate();
+    const auto corpus = packet_corpus(std::move(bytes));
+    if (!corpus) continue;  // header damaged: rejected, fine
+    const roots::PacketTraceView& view = *corpus->members().front().packets;
+    const auto stats = view.validate();
     EXPECT_EQ(stats.records_read + stats.records_skipped,
-              view->declared_count());
-    ChromiumOptions options;
-    options.sample_rate = kSampleRate;
-    // The scan must terminate and never read past the mapping, whatever
-    // survived the mutation.
-    (void)ChromiumCounter(options).process_packets(*view);
+              view.declared_count());
+    // The scan must terminate, never read past the image, and account for
+    // every declared record, whatever survived the mutation.
+    const auto result =
+        ChromiumCounter(scan_options()).process_corpus(*corpus);
+    EXPECT_EQ(result.records_scanned, stats.records_read);
+    EXPECT_EQ(result.records_skipped, stats.records_skipped);
   }
-  std::filesystem::remove(fuzz_path);
 }
 
 }  // namespace

@@ -6,14 +6,32 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <set>
 
 #include "net/rng.h"
 #include "roots/root_server.h"
 #include "roots/trace.h"
+#include "roots/trace_view.h"
 
 namespace netclients::roots {
 namespace {
+
+/// Every record a TraceView of `path` accepts, materialized, plus the
+/// view's framing stats; nullopt when the file or its header is unusable.
+std::optional<std::vector<TraceRecord>> read_trace(
+    const std::string& path, TraceFile::ReadStats* stats = nullptr) {
+  const auto view = TraceView::open(path);
+  if (!view) return std::nullopt;
+  std::vector<TraceRecord> records;
+  auto cursor = view->cursor();
+  TraceRecordRef ref;
+  while (cursor.next(&ref)) records.push_back(ref.materialize());
+  if (stats) *stats = view->validate();
+  return records;
+}
 
 TEST(RootSystem, Ditl2020HasThirteenLetters) {
   const RootSystem system = RootSystem::ditl_2020(1);
@@ -123,22 +141,25 @@ TEST(TraceFile, RoundTrip) {
   }
   const std::string path = "trace_roundtrip_test.bin";
   ASSERT_TRUE(TraceFile::write(path, records));
-  std::vector<TraceRecord> loaded;
-  ASSERT_TRUE(TraceFile::read(path, &loaded));
-  EXPECT_EQ(loaded, records);
+  const auto loaded = read_trace(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, records);
+  // The file is exactly the in-memory image.
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}),
+            TraceFile::encode(records));
   std::filesystem::remove(path);
 }
 
 TEST(TraceFile, RejectsMissingFileAndBadMagic) {
-  std::vector<TraceRecord> loaded;
-  EXPECT_FALSE(TraceFile::read("does_not_exist.bin", &loaded));
+  EXPECT_FALSE(read_trace("does_not_exist.bin"));
   const std::string path = "trace_badmagic_test.bin";
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     std::fputs("NOPE", f);
     std::fclose(f);
   }
-  EXPECT_FALSE(TraceFile::read(path, &loaded));
+  EXPECT_FALSE(read_trace(path));
   std::filesystem::remove(path);
 }
 
@@ -151,8 +172,11 @@ TEST(TraceFile, RejectsTruncatedBody) {
   ASSERT_TRUE(TraceFile::write(path, records));
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size - 4);
-  std::vector<TraceRecord> loaded;
-  EXPECT_FALSE(TraceFile::read(path, &loaded));
+  TraceFile::ReadStats stats;
+  const auto loaded = read_trace(path, &stats);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->size(), 2u);  // the damaged record is never accepted
+  EXPECT_TRUE(stats.truncated);
   std::filesystem::remove(path);
 }
 
@@ -164,12 +188,12 @@ TEST(TraceFile, TolerantReadKeepsRecordsBeforeTruncation) {
   const std::string path = "trace_tolerant_trunc_test.bin";
   ASSERT_TRUE(TraceFile::write(path, records));
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 4);
-  std::vector<TraceRecord> loaded;
   TraceFile::ReadStats stats;
-  ASSERT_TRUE(TraceFile::read_tolerant(path, &loaded, &stats));
-  EXPECT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[0], records[0]);
-  EXPECT_EQ(loaded[1], records[1]);
+  const auto loaded = read_trace(path, &stats);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->size(), 2u);
+  EXPECT_EQ((*loaded)[0], records[0]);
+  EXPECT_EQ((*loaded)[1], records[1]);
   EXPECT_EQ(stats.records_read, 2u);
   EXPECT_EQ(stats.records_skipped, 1u);
   EXPECT_TRUE(stats.truncated);
@@ -177,15 +201,14 @@ TEST(TraceFile, TolerantReadKeepsRecordsBeforeTruncation) {
 }
 
 TEST(TraceFile, TolerantReadStillRejectsBadHeader) {
-  std::vector<TraceRecord> loaded;
-  EXPECT_FALSE(TraceFile::read_tolerant("does_not_exist.bin", &loaded));
+  EXPECT_FALSE(read_trace("does_not_exist.bin"));
   const std::string path = "trace_tolerant_badmagic_test.bin";
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     std::fputs("NOPE", f);
     std::fclose(f);
   }
-  EXPECT_FALSE(TraceFile::read_tolerant(path, &loaded));
+  EXPECT_FALSE(read_trace(path));
   std::filesystem::remove(path);
 }
 
@@ -206,10 +229,10 @@ TEST(TraceFile, TolerantReadSurvivesOverdeclaredCount) {
     std::fwrite(&bogus, sizeof(bogus), 1, f);
     std::fclose(f);
   }
-  std::vector<TraceRecord> loaded;
   TraceFile::ReadStats stats;
-  ASSERT_TRUE(TraceFile::read_tolerant(path, &loaded, &stats));
-  EXPECT_EQ(loaded.size(), 2u);
+  const auto loaded = read_trace(path, &stats);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->size(), 2u);
   EXPECT_TRUE(stats.truncated);
   EXPECT_EQ(stats.records_skipped, ~0ull - 2);
   std::filesystem::remove(path);
@@ -232,11 +255,11 @@ TEST(TraceFile, TolerantReadSurvivesCorruptLabelLength) {
     std::fputc(0xFF, f);
     std::fclose(f);
   }
-  std::vector<TraceRecord> loaded;
   TraceFile::ReadStats stats;
-  ASSERT_TRUE(TraceFile::read_tolerant(path, &loaded, &stats));
-  EXPECT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded[0], records[0]);
+  const auto loaded = read_trace(path, &stats);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_EQ((*loaded)[0], records[0]);
   EXPECT_EQ(stats.records_skipped, 2u);
   std::filesystem::remove(path);
 }

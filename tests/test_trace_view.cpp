@@ -1,12 +1,9 @@
 // Zero-copy trace ingestion suite (labels: determinism, tsan): the
-// TraceView decoder must accept byte-identical record prefixes as the
-// materializing readers on clean, truncated, and corrupted traces, and
-// ChromiumCounter::process_view must produce byte-identical results to
-// the materializing process() at every REPRO_THREADS and chunk size.
-// Fuzz cases mirror test_fuzz_wire's TraceFuzz: random mutations must
-// never crash the view and never read past the mapping (decode-only,
-// like TraceFuzz — the parity cases use structural mutations whose
-// surviving records are still well-formed).
+// TraceView decoder must materialize exactly the records that were
+// written and skip-and-count truncated and corrupted traces, and the NCD1
+// corpus scan must produce byte-identical results to the serial reference
+// (tests/scan_reference.h) over the records that parsed, at every
+// REPRO_THREADS and chunk size.
 
 #include <gtest/gtest.h>
 
@@ -21,9 +18,11 @@
 #include "core/chromium/chromium.h"
 #include "core/exec/exec.h"
 #include "net/rng.h"
+#include "roots/corpus.h"
 #include "roots/root_server.h"
 #include "roots/trace.h"
 #include "roots/trace_view.h"
+#include "scan_reference.h"
 #include "sim/ditl.h"
 #include "sim/world.h"
 
@@ -35,7 +34,8 @@ constexpr double kSampleRate = 1.0 / 4;
 // One sampled DITL capture shared by every case in this (batch) binary:
 // the world build dominates, so generate once.
 struct TraceFixture {
-  std::string path = "trace_view_fixture.trace";
+  std::string manifest = "trace_view_fixture.manifest";
+  std::string path = "trace_view_fixture.000.ncd1";  // the one member
   std::vector<roots::TraceRecord> records;
 
   TraceFixture() {
@@ -49,7 +49,7 @@ struct TraceFixture {
                        [&](const roots::TraceRecord& rec) {
                          records.push_back(rec);
                        });
-    EXPECT_TRUE(roots::TraceFile::write(path, records));
+    EXPECT_TRUE(roots::write_corpus(manifest, records, 1));
   }
 };
 
@@ -61,35 +61,31 @@ const TraceFixture& fixture() {
 class CleanupEnv : public ::testing::Environment {
  public:
   void TearDown() override {
+    std::filesystem::remove(fixture().manifest);
     std::filesystem::remove(fixture().path);
   }
 };
 const auto* const kCleanup =
     ::testing::AddGlobalTestEnvironment(new CleanupEnv);
 
-std::vector<std::uint8_t> slurp(const std::string& path) {
+std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), {}};
 }
 
-void spit(const std::string& path, const std::vector<std::uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
+ChromiumOptions scan_options() {
+  ChromiumOptions options;
+  options.sample_rate = kSampleRate;
+  return options;
 }
 
-// Bit-identical comparison: the two scan paths promise the same integers
-// and the same (integer × scale) doubles, not approximations.
-void expect_identical(const ChromiumResult& a, const ChromiumResult& b) {
-  EXPECT_EQ(a.records_scanned, b.records_scanned);
-  EXPECT_EQ(a.signature_matches, b.signature_matches);
-  EXPECT_EQ(a.rejected_collisions, b.rejected_collisions);
-  ASSERT_EQ(a.probes_by_resolver.size(), b.probes_by_resolver.size());
-  for (const auto& [addr, count] : a.probes_by_resolver) {
-    const auto it = b.probes_by_resolver.find(addr);
-    ASSERT_NE(it, b.probes_by_resolver.end()) << "resolver " << addr;
-    EXPECT_EQ(count, it->second) << "resolver " << addr;
-  }
+/// The records a view's cursor accepts, materialized.
+std::vector<roots::TraceRecord> parsed_prefix(const roots::TraceView& view) {
+  std::vector<roots::TraceRecord> records;
+  auto cursor = view.cursor();
+  roots::TraceRecordRef ref;
+  while (cursor.next(&ref)) records.push_back(ref.materialize());
+  return records;
 }
 
 // --------------------------------------------------------- view decoding
@@ -151,35 +147,44 @@ TEST(TraceView, MmapAndBufferBackingsAgree) {
   EXPECT_FALSE(buffered->mapped());
   EXPECT_EQ(mapped->payload_bytes(), buffered->payload_bytes());
 
-  const ChromiumCounter counter({.sample_rate = kSampleRate});
-  expect_identical(counter.process_view(*mapped),
-                   counter.process_view(*buffered));
+  roots::CorpusView::OpenOptions buffer_backed;
+  buffer_backed.backing = roots::TraceView::Backing::kBuffer;
+  const auto mapped_corpus = roots::CorpusView::open(f.manifest);
+  const auto buffered_corpus =
+      roots::CorpusView::open(f.manifest, buffer_backed);
+  ASSERT_TRUE(mapped_corpus && buffered_corpus);
+  const ChromiumCounter counter(scan_options());
+  EXPECT_TRUE(same_scan(counter.process_corpus(*mapped_corpus),
+                        counter.process_corpus(*buffered_corpus)));
 }
 
-TEST(TraceView, OpenRejectsExactlyWhatTolerantReadRejects) {
+TEST(TraceView, OpenRejectsMissingFilesAndBadHeaders) {
   // Missing file, short file, bad magic, truncated count header.
   const std::string path = "trace_view_open.bin";
-  const std::vector<std::vector<std::uint8_t>> bad = {
-      {},
-      {'N'},
-      {'N', 'C', 'D', '1', 0, 0, 0},                    // count cut short
-      {'X', 'C', 'D', '1', 0, 0, 0, 0, 0, 0, 0, 0},     // wrong magic
+  const std::vector<std::string> bad = {
+      std::string(),
+      std::string("N"),
+      std::string("NCD1\0\0\0", 7),              // count cut short
+      std::string("XCD1\0\0\0\0\0\0\0\0", 12),  // wrong magic
   };
-  std::vector<roots::TraceRecord> loaded;
   EXPECT_FALSE(roots::TraceView::open("no_such_trace_file.bin"));
-  EXPECT_FALSE(roots::TraceFile::read_tolerant("no_such_trace_file.bin",
-                                               &loaded));
   for (const auto& bytes : bad) {
-    spit(path, bytes);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
     EXPECT_FALSE(roots::TraceView::open(path)) << bytes.size();
-    EXPECT_FALSE(roots::TraceFile::read_tolerant(path, &loaded))
+    EXPECT_FALSE(
+        roots::CorpusView::from_bytes(roots::CorpusFormat::kNcd1, bytes))
         << bytes.size();
   }
-  // A header alone (zero records) is a valid, empty trace for both.
-  spit(path, {'N', 'C', 'D', '1', 0, 0, 0, 0, 0, 0, 0, 0});
-  EXPECT_TRUE(roots::TraceView::open(path));
-  EXPECT_TRUE(roots::TraceFile::read_tolerant(path, &loaded));
-  EXPECT_TRUE(loaded.empty());
+  // A header alone (zero records) is a valid, empty trace.
+  const std::string empty = roots::TraceFile::encode({});
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << empty;
+  const auto view = roots::TraceView::open(path);
+  ASSERT_TRUE(view);
+  EXPECT_EQ(view->declared_count(), 0u);
+  const auto corpus =
+      roots::CorpusView::from_bytes(roots::CorpusFormat::kNcd1, empty);
+  ASSERT_TRUE(corpus);
+  EXPECT_EQ(ChromiumCounter().process_corpus(*corpus).records_scanned, 0u);
   std::filesystem::remove(path);
 }
 
@@ -240,15 +245,13 @@ TEST(ByteMatcher, AgreesWithCanonicalMatcherOnEveryLabelShape) {
 
 TEST(ByteMatcher, UppercaseRawBytesCountLikeTheirCanonicalForm) {
   // Hand-craft a trace whose raw label bytes are mixed-case — DnsName
-  // never writes these, but the format doesn't forbid them, and the
-  // materializing path lowercases on read. Both scan paths must agree,
-  // including the sketch keys (same name, different casing, same day
-  // must collide with itself).
-  const std::string path = "trace_view_case.bin";
-  std::vector<std::uint8_t> bytes = {'N', 'C', 'D', '1'};
+  // never writes these, but the format doesn't forbid them, and
+  // materializing lowercases them. The scan must count them like their
+  // canonical form, including the sketch keys (same name, different
+  // casing, same day must collide with itself).
+  std::string bytes = "NCD1";
   const auto put = [&](const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    bytes.insert(bytes.end(), b, b + n);
+    bytes.append(static_cast<const char*>(p), n);
   };
   const std::uint64_t count = 3;
   put(&count, 8);
@@ -265,78 +268,69 @@ TEST(ByteMatcher, UppercaseRawBytesCountLikeTheirCanonicalForm) {
     bytes.push_back(8);  // label length
     put(labels[i], 8);
   }
-  spit(path, bytes);
-
-  std::vector<roots::TraceRecord> loaded;
-  ASSERT_TRUE(roots::TraceFile::read_tolerant(path, &loaded));
+  const auto corpus =
+      roots::CorpusView::from_bytes(roots::CorpusFormat::kNcd1, bytes);
+  ASSERT_TRUE(corpus);
+  const auto loaded = parsed_prefix(*corpus->members().front().trace);
   ASSERT_EQ(loaded.size(), 3u);
   EXPECT_EQ(loaded[0].qname.labels().front(), "abcdefgh");
 
-  const auto view = roots::TraceView::open(path);
-  ASSERT_TRUE(view);
-  const ChromiumCounter counter;
-  const ChromiumResult from_view = counter.process_view(*view);
-  expect_identical(from_view, counter.process(loaded));
-  EXPECT_EQ(from_view.signature_matches, 3u);
-  std::filesystem::remove(path);
+  const ChromiumOptions options;
+  const ChromiumResult scanned = ChromiumCounter(options).process_corpus(*corpus);
+  EXPECT_TRUE(same_scan(scanned, reference_scan(loaded, options)));
+  EXPECT_EQ(scanned.signature_matches, 3u);
 }
 
 // ------------------------------------------------------------ scan parity
 
-TEST(ViewParity, ByteIdenticalToMaterializingScanAtEveryThreadCount) {
+TEST(ScanParity, ByteIdenticalToTheReferenceAtEveryThreadCount) {
   const auto& f = fixture();
-  const ChromiumCounter counter({.sample_rate = kSampleRate});
-  const ChromiumResult reference = counter.process(f.records);
+  const ChromiumResult reference = reference_scan(f.records, scan_options());
+  EXPECT_GT(reference.signature_matches, 0u);
+  const auto corpus = roots::CorpusView::open(f.manifest);
+  ASSERT_TRUE(corpus);
   for (const char* threads : {"1", "2", "8"}) {
     SCOPED_TRACE(threads);
     ::setenv("REPRO_THREADS", threads, 1);
-    const auto view = roots::TraceView::open(f.path);
-    ASSERT_TRUE(view);
-    const ChromiumResult scanned = counter.process_view(*view);
-    expect_identical(scanned, reference);
+    const ChromiumResult scanned =
+        ChromiumCounter(scan_options()).process_corpus(*corpus);
+    EXPECT_TRUE(same_scan(scanned, reference));
     EXPECT_EQ(scanned.records_skipped, 0u);
+    EXPECT_TRUE(
+        same_scan(ChromiumCounter(scan_options()).process(f.records),
+                  reference));
   }
   ::unsetenv("REPRO_THREADS");
 }
 
-TEST(ViewParity, ChunkSizeDoesNotChangeTheResult) {
+TEST(ScanParity, ChunkSizeDoesNotChangeTheResult) {
   const auto& f = fixture();
-  const auto view = roots::TraceView::open(f.path);
-  ASSERT_TRUE(view);
-  ChromiumOptions options;
-  options.sample_rate = kSampleRate;
-  const ChromiumResult reference = ChromiumCounter(options).process(f.records);
+  const auto corpus = roots::CorpusView::open(f.manifest);
+  ASSERT_TRUE(corpus);
+  ChromiumOptions options = scan_options();
+  const ChromiumResult reference = reference_scan(f.records, options);
   for (const std::size_t chunk : {std::size_t{1} << 4, std::size_t{1} << 9,
                                   std::size_t{1} << 20}) {
     SCOPED_TRACE(chunk);
     options.chunk_records = chunk;
-    expect_identical(ChromiumCounter(options).process_view(*view), reference);
+    EXPECT_TRUE(same_scan(ChromiumCounter(options).process_corpus(*corpus),
+                          reference));
   }
-}
-
-TEST(ViewParity, ProcessFileRoutesThroughTheViewPath) {
-  const auto& f = fixture();
-  const ChromiumCounter counter({.sample_rate = kSampleRate});
-  const auto from_file = counter.process_file(f.path);
-  ASSERT_TRUE(from_file);
-  expect_identical(*from_file, counter.process(f.records));
-  EXPECT_FALSE(counter.process_file("no_such_trace_file.bin"));
 }
 
 // Structural mutations only (truncation, count inflation, length-byte
 // damage): surviving records stay well-formed, so the parity check can
-// run the full pipeline on both paths.
-TEST(ViewParity, DamagedTailsSkipAndCountIdenticallyToTolerantReader) {
+// compare the whole scan with the reference over the parsed prefix.
+TEST(ScanParity, DamagedTailsSkipAndCount) {
   const auto& f = fixture();
-  const std::vector<std::uint8_t> clean = slurp(f.path);
+  const std::string clean = slurp(f.path);
   ASSERT_GT(clean.size(), 200u);
-  const std::string path = "trace_view_damaged.bin";
 
-  std::vector<std::vector<std::uint8_t>> mutants;
+  std::vector<std::string> mutants;
   // Truncations: mid-header of an early record, mid-label, one byte shy.
   for (const std::size_t cut : {clean.size() / 2, clean.size() / 3 + 5,
                                 clean.size() - 1, std::size_t{12 + 7}}) {
-    mutants.emplace_back(clean.begin(), clean.begin() + cut);
+    mutants.push_back(clean.substr(0, cut));
   }
   {
     // Corrupt count: header declares more records than the file holds.
@@ -357,93 +351,26 @@ TEST(ViewParity, DamagedTailsSkipAndCountIdenticallyToTolerantReader) {
 
   for (std::size_t m = 0; m < mutants.size(); ++m) {
     SCOPED_TRACE(m);
-    spit(path, mutants[m]);
+    const auto corpus = roots::CorpusView::from_bytes(
+        roots::CorpusFormat::kNcd1, mutants[m]);
+    ASSERT_TRUE(corpus);
+    const roots::TraceView& view = *corpus->members().front().trace;
+    const auto stats = view.validate();
+    const auto parsed = parsed_prefix(view);
+    EXPECT_EQ(stats.records_read, parsed.size());
+    EXPECT_EQ(stats.records_read + stats.records_skipped,
+              view.declared_count());
 
-    std::vector<roots::TraceRecord> loaded;
-    roots::TraceFile::ReadStats stats;
-    ASSERT_TRUE(roots::TraceFile::read_tolerant(path, &loaded, &stats));
-
-    const auto view = roots::TraceView::open(path);
-    ASSERT_TRUE(view);
-    const auto vstats = view->validate();
-    EXPECT_EQ(vstats.records_read, stats.records_read);
-    EXPECT_EQ(vstats.records_skipped, stats.records_skipped);
-    EXPECT_EQ(vstats.truncated, stats.truncated);
-
-    const ChromiumCounter counter({.sample_rate = kSampleRate});
-    const ChromiumResult scanned = counter.process_view(*view);
-    expect_identical(scanned, counter.process(loaded));
-    EXPECT_EQ(scanned.records_skipped, stats.records_skipped);
-  }
-  std::filesystem::remove(path);
-}
-
-// ------------------------------------------------------------------ fuzz
-
-// Mirror of test_fuzz_wire's TraceFuzz, pointed at the view: random byte
-// flips and truncations must never crash, never read past the mapping
-// (tsan/asan-visible), and must keep the view's accept/skip behavior in
-// lockstep with the materializing tolerant reader. Decode-only, like
-// TraceFuzz: flipped bytes can forge non-finite timestamps, which the
-// scan (either path) would cast — same reason TraceFuzz never calls
-// process().
-class ViewFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ViewFuzz, MutatedTracesNeverCrashAndMatchTolerantReader) {
-  net::Rng rng(GetParam());
-  const std::string path =
-      "trace_view_fuzz_" + std::to_string(GetParam()) + ".bin";
-  for (int iter = 0; iter < 60; ++iter) {
-    std::vector<roots::TraceRecord> records(1 + rng.below(6));
-    for (auto& rec : records) {
-      rec.source = net::Ipv4Addr(static_cast<std::uint32_t>(rng()));
-      rec.qname = *dns::DnsName::parse(
-          rng.bernoulli(0.5) ? "qpwoeiruty" : "www.example.com");
-      rec.timestamp = static_cast<double>(rng.below(1000));
-    }
-    ASSERT_TRUE(roots::TraceFile::write(path, records));
-    auto bytes = slurp(path);
-    const int mutations = 1 + static_cast<int>(rng.below(5));
-    for (int m = 0; m < mutations && !bytes.empty(); ++m) {
-      if (rng.bernoulli(0.3)) {
-        bytes.resize(rng.below(bytes.size() + 1));
-      } else {
-        bytes[rng.below(bytes.size())] ^=
-            static_cast<std::uint8_t>(1 + rng.below(255));
-      }
-    }
-    spit(path, bytes);
-
-    std::vector<roots::TraceRecord> loaded;
-    roots::TraceFile::ReadStats stats;
-    const bool tolerant_ok =
-        roots::TraceFile::read_tolerant(path, &loaded, &stats);
-    for (const auto backing : {roots::TraceView::Backing::kAuto,
-                               roots::TraceView::Backing::kBuffer}) {
-      const auto view = roots::TraceView::open(path, backing);
-      ASSERT_EQ(view.has_value(), tolerant_ok);
-      if (!view) continue;
-      const auto vstats = view->validate();
-      EXPECT_EQ(vstats.records_read, stats.records_read);
-      EXPECT_EQ(vstats.records_skipped, stats.records_skipped);
-      EXPECT_EQ(vstats.truncated, stats.truncated);
-      // The surviving prefix must materialize to the same records.
-      auto cursor = view->cursor();
-      roots::TraceRecordRef ref;
-      std::size_t i = 0;
-      while (cursor.next(&ref)) {
-        ASSERT_LT(i, loaded.size());
-        EXPECT_EQ(ref.materialize(), loaded[i]);
-        ++i;
-      }
-      EXPECT_EQ(i, loaded.size());
+    for (const int threads : {1, 8}) {
+      ChromiumOptions options = scan_options();
+      options.threads = threads;
+      const ChromiumResult scanned =
+          ChromiumCounter(options).process_corpus(*corpus);
+      EXPECT_TRUE(same_scan(scanned, reference_scan(parsed, options)));
+      EXPECT_EQ(scanned.records_skipped, stats.records_skipped);
     }
   }
-  std::filesystem::remove(path);
 }
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ViewFuzz,
-                         ::testing::Values(0x91, 0x92, 0x93, 0x94));
 
 }  // namespace
 }  // namespace netclients::core
