@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "net/geo.h"
 #include "net/ipv4.h"
@@ -32,6 +34,11 @@ TEST(Ipv4Addr, ParsesBoundaryValues) {
 
 struct BadAddrCase {
   const char* text;
+  // Print the text, not the pointer: ctest names parameterised cases after
+  // the printed value, and a pointer changes with every run under ASLR.
+  friend void PrintTo(const BadAddrCase& c, std::ostream* os) {
+    *os << ::testing::PrintToString(std::string(c.text));
+  }
 };
 class Ipv4ParseRejects : public ::testing::TestWithParam<BadAddrCase> {};
 
