@@ -13,7 +13,8 @@
 // rows to bench_out/netserve_latency.csv. Part 2 sweeps bus loss rates
 // with and without a retry budget and appends recall rows (fraction of
 // addresses answered identically to the direct path) to
-// bench_out/netserve_recall.csv: retries must never hurt recall, and
+// bench_out/netserve_recall.csv: recall with and without retries must be
+// non-increasing as loss rises, retries must never hurt recall, and
 // `--require-recall-gap=G` turns the buy-back into a gate — the mean
 // (retry − no-retry) recall gap over the swept nonzero loss rates
 // falling below G exits 1.
@@ -255,6 +256,9 @@ int main(int argc, char** argv) {
   double gap_sum = 0;
   int gap_rates = 0;
   bool retry_never_hurts = true;
+  // More loss must never buy more recall, with or without retries.
+  bool monotone = true;
+  double prev_noretry = 1.0, prev_retry = 1.0;
   for (const double loss : loss_rates) {
     netsim::FaultConfig faults;
     faults.loss_probability = loss;
@@ -273,6 +277,11 @@ int main(int argc, char** argv) {
                    recall_retry);
     }
     if (recall_retry < recall_noretry) retry_never_hurts = false;
+    if (recall_noretry > prev_noretry || recall_retry > prev_retry) {
+      monotone = false;
+    }
+    prev_noretry = recall_noretry;
+    prev_retry = recall_retry;
     if (loss > 0) {
       gap_sum += recall_retry - recall_noretry;
       ++gap_rates;
@@ -296,6 +305,12 @@ int main(int argc, char** argv) {
     world.bus.stats().publish();
   }
 
+  if (!monotone) {
+    std::fprintf(stderr,
+                 "bench_netserve: FATAL: recall rose with loss (no-retry or "
+                 "retry recall is not non-increasing across the sweep)\n");
+    return 1;
+  }
   if (!retry_never_hurts) {
     std::fprintf(stderr,
                  "bench_netserve: FATAL: retries reduced recall at some "

@@ -9,22 +9,23 @@
 // (tests/scan_reference.h) at threads 1/2/8; any mismatch is a hard
 // failure (exit 1).
 //
-// With an internet preset the bench first streams the planned world
-// through the bounded-memory WorldStreamer and hard-fails if the arena
-// high-water mark exceeds the preset's memory budget — the "10M routed
-// /24s without 10M-block allocations" claim, enforced.
+// Each of `--reps` reps scans each corpus back to back until it covers at
+// least 0.5 s of wall time, the two corpora alternating within the rep;
+// every figure is the median over reps, and the N-over-one speedup is
+// the median of the per-rep ratios.
 //
 // Output: a throughput table on stdout, rows in
 // bench_out/scan_throughput.csv (CI uploads + gates it), and gauges
 // `chromium.scan.corpus_records_per_sec` / `chromium.scan.corpus_speedup`
-// (N members over one) / `chromium.scan.steal_ratio` (plus `bench.stream.*`
-// at internet scale) via --metrics-out. `--require-speedup=X` (CI passes
-// 1.0) exits 1, at internet scale, when the N-member scan is less than X
-// times the one-member scan at equal threads.
+// (N members over one) / `chromium.scan.steal_ratio` via --metrics-out.
+// `--require-speedup=X` (CI passes 1.0) exits 1, at internet scale, when
+// the N-member scan is less than X times the one-member scan at equal
+// threads.
 //
 // Run:  build/bench/bench_scan [--scale=paper|internet-lite|internet]
 //                              [--reps=3] [--require-speedup=0]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -37,7 +38,6 @@
 #include "core/exec/steal.h"
 #include "roots/corpus.h"
 #include "scan_reference.h"
-#include "sim/stream.h"
 
 using namespace netclients;
 
@@ -83,76 +83,32 @@ double timed_scan(const core::ChromiumCounter& counter,
   return seconds_since(start);
 }
 
-/// Streams the internet-scale world under the preset's arena budget and
-/// enforces it: arena high-water mark over budget is a hard failure, as
-/// is missing the routed-/24 target by more than per-AS rounding.
-int run_stream_phase(const bench::ScaleSpec& spec) {
-  sim::StreamConfig config;
-  config.target_routed_slash24s = spec.stream_slash24s;
-  config.memory_budget_bytes = spec.stream_budget_bytes;
-  const sim::WorldStreamer streamer(config);
+/// Wall time each side of a rep covers: one ~0.1 s scan is too short to
+/// tell a parallel win from run-to-run noise.
+constexpr double kMinWindowSeconds = 0.5;
 
-  const std::size_t rss_before = sim::current_rss_bytes();
-  const auto start = std::chrono::steady_clock::now();
-  sim::StreamStats stats;
-  {
-    obs::StageSpan span("scan.bench.world_stream");
-    stats = streamer.run(nullptr);
-  }
-  const double seconds = seconds_since(start);
-  const std::size_t rss_after = sim::current_rss_bytes();
-  const double blocks_per_sec =
-      seconds > 0 ? static_cast<double>(stats.slash24s) / seconds : 0;
+/// Scans the corpus at `manifest_path` back to back until the scans
+/// cover at least kMinWindowSeconds; returns the mean seconds per scan
+/// (-1 when the corpus cannot be reopened).
+double timed_window(const core::ChromiumCounter& counter,
+                    const std::string& manifest_path,
+                    core::exec::StealTelemetry* steal, std::uint64_t* sink) {
+  double total = 0;
+  int scans = 0;
+  do {
+    const double seconds = timed_scan(counter, manifest_path, steal, sink);
+    if (seconds < 0) return -1;
+    total += seconds;
+    ++scans;
+  } while (total < kMinWindowSeconds);
+  return total / scans;
+}
 
-  std::printf("world stream (%s): %llu /24s (%llu routed, %llu active) "
-              "over %llu ASes\n",
-              spec.name.c_str(),
-              static_cast<unsigned long long>(stats.slash24s),
-              static_cast<unsigned long long>(stats.routed_slash24s),
-              static_cast<unsigned long long>(stats.active_slash24s),
-              static_cast<unsigned long long>(stats.ases));
-  std::printf("  %llu batches, arena peak %.1f MiB of %.1f MiB budget, "
-              "%.0f blocks/sec\n",
-              static_cast<unsigned long long>(stats.batches),
-              stats.arena_peak_bytes / (1024.0 * 1024.0),
-              spec.stream_budget_bytes / (1024.0 * 1024.0), blocks_per_sec);
-  if (rss_after > 0) {
-    std::printf("  rss %.1f MiB -> %.1f MiB (digest %016llx)\n",
-                rss_before / (1024.0 * 1024.0),
-                rss_after / (1024.0 * 1024.0),
-                static_cast<unsigned long long>(stats.digest));
-  }
-
-  obs::Registry& registry = obs::Registry::global();
-  registry.gauge("bench.stream.slash24s")
-      .set(static_cast<double>(stats.slash24s));
-  registry.gauge("bench.stream.routed_slash24s")
-      .set(static_cast<double>(stats.routed_slash24s));
-  registry.gauge("bench.stream.blocks_per_sec").set(blocks_per_sec);
-  registry.gauge("bench.stream.arena_peak_bytes")
-      .set(static_cast<double>(stats.arena_peak_bytes));
-  registry.gauge("bench.stream.rss_bytes")
-      .set(static_cast<double>(rss_after));
-
-  if (stats.arena_peak_bytes > spec.stream_budget_bytes) {
-    std::fprintf(stderr,
-                 "[scan] FAIL: stream arena peak %llu bytes exceeds the "
-                 "%zu-byte budget\n",
-                 static_cast<unsigned long long>(stats.arena_peak_bytes),
-                 spec.stream_budget_bytes);
-    return 1;
-  }
-  // The plan hits the target within per-AS rounding; 1% slack is generous.
-  const auto target = static_cast<double>(spec.stream_slash24s);
-  if (static_cast<double>(stats.routed_slash24s) < 0.99 * target) {
-    std::fprintf(stderr,
-                 "[scan] FAIL: streamed %llu routed /24s, short of the "
-                 "%llu target\n",
-                 static_cast<unsigned long long>(stats.routed_slash24s),
-                 static_cast<unsigned long long>(spec.stream_slash24s));
-    return 1;
-  }
-  return 0;
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 ? values[mid]
+                           : (values[mid - 1] + values[mid]) / 2;
 }
 
 }  // namespace
@@ -160,14 +116,10 @@ int run_stream_phase(const bench::ScaleSpec& spec) {
 int main(int argc, char** argv) {
   obs::MetricsOutGuard metrics_out(&argc, argv);
   const bench::ScaleSpec spec = bench::parse_scale(argc, argv);
-  const int reps = static_cast<int>(flag_value(argc, argv, "--reps", 3));
+  const int reps =
+      std::max(1, static_cast<int>(flag_value(argc, argv, "--reps", 3)));
   const double require_speedup =
       flag_value(argc, argv, "--require-speedup", 0);
-
-  // ---- 0. Internet-scale streaming world (budget-gated) ----------------
-  if (spec.internet()) {
-    if (const int rc = run_stream_phase(spec); rc != 0) return rc;
-  }
 
   // ---- 1. Capture a sampled DITL to disk -------------------------------
   const core::Scenario scenario =
@@ -237,45 +189,48 @@ int main(int argc, char** argv) {
   const auto n = static_cast<double>(records.size());
   core::exec::StealTelemetry steal;
   std::uint64_t sink = 0;  // keeps the timed results observable
-  // Best of `reps`; the two corpora alternate within a rep so both see
-  // the same machine state.
-  double single_seconds = 1e30;
-  double corpus_seconds = 1e30;
+  // Each rep times a window of at least kMinWindowSeconds per side; the
+  // two corpora alternate within a rep so both see the same machine
+  // state, and the speedup is the median of the per-rep ratios.
+  std::vector<double> single_reps, corpus_reps, speedups;
   for (int rep = 0; rep < reps; ++rep) {
+    double single_seconds = 0;
     if (single) {
-      single_seconds = std::min(
-          single_seconds, timed_scan(counter, single_path, nullptr, &sink));
+      single_seconds = timed_window(counter, single_path, nullptr, &sink);
+      if (single_seconds <= 0) break;
+      single_reps.push_back(single_seconds);
     }
-    core::exec::StealTelemetry rep_steal;
-    const double seconds =
-        timed_scan(counter, manifest_path, &rep_steal, &sink);
-    if (seconds < corpus_seconds) {
-      corpus_seconds = seconds;
-      steal = rep_steal;
-    }
+    const double seconds = timed_window(counter, manifest_path, &steal, &sink);
+    if (seconds <= 0) break;
+    corpus_reps.push_back(seconds);
+    if (single) speedups.push_back(single_seconds / seconds);
   }
-  if (corpus_seconds <= 0 || single_seconds <= 0) {
+  if (corpus_reps.size() != static_cast<std::size_t>(reps)) {
     std::fprintf(stderr, "[scan] cannot reopen the corpus\n");
     return 1;
   }
+  const double corpus_seconds = median(corpus_reps);
+  const double single_seconds = single ? median(single_reps) : corpus_seconds;
   const double corpus_rps = n / corpus_seconds;
-  const double single_rps = single ? n / single_seconds : corpus_rps;
-  const double corpus_speedup = corpus_rps / single_rps;
+  const double single_rps = n / single_seconds;
+  const double corpus_speedup = single ? median(speedups) : 1.0;
   const double steal_ratio =
       steal.tasks > 0
           ? static_cast<double>(steal.stolen_tasks) / steal.tasks
           : 0;
 
   std::printf("trace scan throughput (%zu records, %zu corpus member(s), "
-              "best of %d)\n",
-              records.size(), corpus->members().size(), reps);
+              "median of %d reps of >= %.1f s each)\n",
+              records.size(), corpus->members().size(), reps,
+              kMinWindowSeconds);
   std::printf("  %-12s %10s %16s\n", "members", "seconds", "records/sec");
   if (single) {
     std::printf("  %-12d %10.3f %16.0f\n", 1, single_seconds, single_rps);
   }
   std::printf("  %-12zu %10.3f %16.0f\n", corpus->members().size(),
               corpus_seconds, corpus_rps);
-  std::printf("  %zu member(s) / 1 member: %.2fx  (checksum %llu)\n",
+  std::printf("  %zu member(s) / 1 member: %.2fx, median of per-rep "
+              "ratios  (checksum %llu)\n",
               corpus->members().size(), corpus_speedup,
               static_cast<unsigned long long>(sink));
   std::printf("  steal scheduler: %zu tasks over %zu workers, %zu "

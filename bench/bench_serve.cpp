@@ -5,8 +5,9 @@
 //
 // The bench *checks* the serving determinism contract before it times
 // anything: handle lookups must be identical at threads=1 and threads=8,
-// elementwise-equal to per-query lookup() and to the trie reference
-// oracle, and WorkloadDriver::replay digests (single publisher, reader
+// elementwise-equal to per-query lookup() and to the radix-trie oracle
+// the tests use (tests/index_reference.h, built from the loaded epochs),
+// and WorkloadDriver::replay digests (single publisher, reader
 // batches between publishes) must match at any intra-batch parallelism;
 // any mismatch is a hard failure (exit 1).
 //
@@ -42,6 +43,7 @@
 #include "core/serve/service.h"
 #include "core/serve/workload.h"
 #include "core/snapshot/snapshot.h"
+#include "index_reference.h"
 #include "net/rng.h"
 
 using namespace netclients;
@@ -224,11 +226,12 @@ int main(int argc, char** argv) {
                  "and threads=8\n");
     return 1;
   }
+  const IndexReference reference(chain);
   for (std::size_t i = 0; i < queries.size(); i += 997) {
     if (handle->lookup(queries[i]) != serial[i] ||
-        index.lookup_reference(queries[i]) != serial[i]) {
+        reference.lookup(queries[i]) != serial[i]) {
       std::fprintf(stderr,
-                   "[serve] FAIL: lookup()/lookup_reference() and "
+                   "[serve] FAIL: lookup() or the reference oracle and "
                    "lookup_many() disagree at query %zu\n",
                    i);
       return 1;

@@ -90,15 +90,11 @@ ScaleSpec parse_scale(int argc, char** argv) {
   spec.name = name;
   if (name == "paper") return spec;
   if (name == "internet-lite") {
-    spec.stream_slash24s = 1'250'000;
     spec.corpus_files = 4;
-    spec.stream_budget_bytes = std::size_t{8} << 20;
     return spec;
   }
   if (name == "internet") {
-    spec.stream_slash24s = 10'000'000;
     spec.corpus_files = 16;
-    spec.stream_budget_bytes = std::size_t{64} << 20;
     return spec;
   }
   std::fprintf(stderr,

@@ -79,6 +79,8 @@ class CircuitBreaker {
   void record_failure(net::SimTime now);
 
   State state(net::SimTime now) const;
+  /// Sim-time from which an open breaker admits its half-open trial.
+  net::SimTime open_until() const { return open_until_; }
   std::uint64_t opened() const { return opened_; }
   std::uint64_t skipped() const { return skipped_; }
 

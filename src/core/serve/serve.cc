@@ -74,12 +74,6 @@ ClientIndex ClientIndex::build(std::span<const snapshot::EpochRecord> epochs) {
     index.entries_.push_back(merged);
   }
 
-  // Trie for the single-query path.
-  for (std::size_t i = 0; i < index.entries_.size(); ++i) {
-    index.trie_.insert(index.entries_[i].prefix,
-                       static_cast<std::uint32_t>(i));
-  }
-
   // Flat LPM projection for the batched path: sweep the prefix-sorted
   // entries with a nesting stack, emitting disjoint [begin, last] ranges
   // owned by their most specific covering prefix. A covering prefix sorts
@@ -178,12 +172,6 @@ LookupResult ClientIndex::lookup(net::Ipv4Addr addr) const {
   LookupResult result;
   lookup_chunk(&addr, 1, &result);
   return result;
-}
-
-LookupResult ClientIndex::lookup_reference(net::Ipv4Addr addr) const {
-  const auto match = trie_.longest_match(addr);
-  if (!match) return LookupResult{};
-  return result_of(entries_[*match->second]);
 }
 
 void ClientIndex::lookup_chunk(const net::Ipv4Addr* addrs, std::size_t count,

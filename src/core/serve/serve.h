@@ -17,17 +17,15 @@
 //  * `lookup` — the single-query convenience: a count-1 call through the
 //    same chunk kernel (same slot table, same hit metrics), so per-call
 //    metrics and answers cannot drift from the batched path.
-//  * `lookup_reference` — the independent oracle: longest-prefix match
-//    through the src/net radix trie, kept solely so tests and benches
-//    can cross-check the slot table against a structurally different
-//    implementation.
 //
 // Determinism contract (the repo-wide rule): results are a pure function
 // of (index contents, query list). Chunk boundaries depend only on the
 // query count, each chunk's answers are written into its own output
-// range, and the slot table answers exactly what the trie answers — so
-// `lookup_many` output is byte-identical at any REPRO_THREADS, and
-// identical to calling `lookup` (or `lookup_reference`) per query.
+// range, and the slot table answers exactly what a longest-prefix match
+// over the merged prefixes answers — so `lookup_many` output is
+// byte-identical at any REPRO_THREADS, and identical to calling `lookup`
+// per query. The tests check both against an independent radix-trie
+// oracle built from the epochs (tests/index_reference.h).
 //
 // `ClientIndex` is the *internal build artifact* of the serving tier:
 // consumers outside src/core/serve reach it through `serve::Service`
@@ -40,7 +38,6 @@
 #include "core/snapshot/snapshot.h"
 #include "net/ipv4.h"
 #include "net/prefix.h"
-#include "net/prefix_trie.h"
 
 namespace netclients::core::serve {
 
@@ -79,11 +76,6 @@ class ClientIndex {
   /// Single-query convenience: a count-1 pass through the same chunk
   /// kernel as `lookup_many` (shared slot table and hit metrics).
   LookupResult lookup(net::Ipv4Addr addr) const;
-
-  /// Oracle path: longest-prefix match via the radix trie. Structurally
-  /// independent of the slot table — determinism tests and benches assert
-  /// it agrees with `lookup`/`lookup_many` answer for answer.
-  LookupResult lookup_reference(net::Ipv4Addr addr) const;
 
   /// THE batched entry point: writes one result per query into `out`
   /// (which must hold `addrs.size()` slots), in query order. The
@@ -135,7 +127,6 @@ class ClientIndex {
                     LookupResult* out) const;
 
   std::vector<snapshot::PrefixEntry> entries_;  // merged, prefix-sorted
-  net::PrefixTrie<std::uint32_t> trie_;         // prefix -> entries_ index
   std::vector<Interval> flat_;                  // sorted, disjoint
   /// Direct map: slots_[s - slot_base_] answers /24 index s. Holds the
   /// canned_ index when the whole /24 has one answer (including "none":

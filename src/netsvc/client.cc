@@ -73,6 +73,10 @@ void Client::lookup_chunk(std::span<const net::Ipv4Addr> addrs,
   if (!breaker_.allow(bus_.now())) {
     ++stats_.breaker_skipped;
     ++stats_.failed_chunks;
+    // The refused chunk waits out the cool-down on the virtual clock. The
+    // bus clock moves only with traffic, so without this the breaker
+    // would never reach half-open and every later chunk would fail.
+    bus_.run_until(breaker_.open_until());
     return;
   }
   const std::uint64_t chunk_key = net::stable_seed(

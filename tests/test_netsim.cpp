@@ -11,6 +11,7 @@
 #include "googledns/google_dns.h"
 #include "netsim/bus.h"
 #include "netsim/dns_endpoint.h"
+#include "netsim/endpoint.h"
 
 namespace netclients::netsim {
 namespace {
@@ -156,8 +157,9 @@ TEST(Bus, FullDnsExchangeWithTcpFallback) {
 }
 
 TEST(DnsEndpoint, WireAndStructuredModesByteIdenticalOnBus) {
-  // The same probe traffic against two authoritative endpoints — one
-  // answering straight from wire bytes, one decoding/re-encoding — must
+  // The same probe traffic against two authoritative endpoints — the
+  // shipped one answering straight from wire bytes, and a decode →
+  // handle → encode endpoint built here as the structured oracle — must
   // put byte-identical reply datagrams on the bus.
   dnssrv::AuthoritativeServer auth;
   dnssrv::ZoneConfig zone;
@@ -167,12 +169,16 @@ TEST(DnsEndpoint, WireAndStructuredModesByteIdenticalOnBus) {
   const auto structured_addr = *net::Ipv4Addr::parse("10.0.0.54");
 
   MessageBus bus;
-  AuthoritativeEndpointOptions wire_opts;
-  wire_opts.mode = DnsWireMode::kWire;
-  attach_authoritative(bus, wire_addr, auth, wire_opts);
-  AuthoritativeEndpointOptions structured_opts;
-  structured_opts.mode = DnsWireMode::kStructured;
-  attach_authoritative(bus, structured_addr, auth, structured_opts);
+  attach_authoritative(bus, wire_addr, auth);
+  std::vector<std::uint8_t> structured_reply;
+  attach_payload_endpoint(
+      bus, structured_addr,
+      [&](const Datagram& d, net::SimTime) -> PayloadReply {
+        const auto query = dns::decode(d.payload);
+        if (!query.ok) return {};
+        structured_reply = dns::encode(auth.handle(query.message, 0));
+        return {structured_reply, AuthoritativeEndpointOptions{}.reply_latency};
+      });
 
   std::vector<std::vector<std::uint8_t>> wire_replies, structured_replies;
   bus.attach(kClient, [&](const Datagram& d, net::SimTime) {

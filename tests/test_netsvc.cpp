@@ -579,6 +579,40 @@ TEST_F(NetsvcSuite, LossWithRetriesStaysByteIdenticalAtAnyThreads) {
   EXPECT_EQ(tallies[0].udp_queries, tallies[1].udp_queries);
 }
 
+TEST_F(NetsvcSuite, OpenBreakerReachesHalfOpenAndTripsAgain) {
+  // With no retry budget at loss 0.20, runs of failed chunks trip the
+  // breaker. A refused chunk waits out the cool-down on the virtual
+  // clock, so the next chunk goes out as a half-open trial. A breaker
+  // that froze open instead refused every chunk after its first trip:
+  // 8,025 of 8,192 chunks failed after only 249 queries.
+  const auto queries = make_queries(65536, 0xB2EA);
+  ClientOptions options;
+  options.retry.max_attempts = 1;
+  netsim::FaultConfig faults;
+  faults.loss_probability = 0.20;
+  World world(chain(), options, {}, faults);
+  const auto got = world.client->lookup_many(queries);
+  const netsvc::ClientStats& stats = world.client->stats();
+  const std::uint64_t chunks = queries.size() / options.batch_per_message;
+
+  // Each refused chunk waits out one whole open window, so every refusal
+  // marks a separate trip, and the clock has covered all those windows.
+  EXPECT_GE(stats.breaker_skipped, 2u) << "the breaker must trip again";
+  EXPECT_GE(world.bus.now(),
+            static_cast<double>(stats.breaker_skipped) *
+                options.breaker.open_seconds);
+  EXPECT_GT(stats.udp_queries + stats.tcp_queries, 20u * 249u);
+  EXPECT_LT(stats.failed_chunks, chunks / 2);
+
+  // Every chunk that got an answer is still the direct answer.
+  const auto expected = direct(world.service, queries);
+  std::size_t mismatched = 0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    mismatched += got[i] != expected[i];
+  }
+  EXPECT_LE(mismatched, stats.failed_chunks * options.batch_per_message);
+}
+
 TEST_F(NetsvcSuite, TruncatedUdpResponseEscalatesToTcpAndCompletes) {
   // 16 questions per message: the query (192 bytes) fits UDP, but the
   // full response (784 bytes) cannot — the server answers TC=1 and the

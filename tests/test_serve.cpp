@@ -9,7 +9,8 @@
 //  * Replay determinism — WorkloadDriver::replay digests are
 //    byte-identical at any intra-batch parallelism and any
 //    REPRO_THREADS, and handle lookups equal the single-query path and
-//    the trie reference oracle elementwise.
+//    the radix-trie oracle built from the epochs (tests/index_reference.h)
+//    elementwise.
 //  * Concurrent publish/read — real reader threads acquire and look up
 //    while a publisher swaps epochs in; per-thread snapshot versions are
 //    monotone (shard stores happen in shard order) and every batch is
@@ -33,6 +34,7 @@
 #include "core/serve/service.h"
 #include "core/serve/workload.h"
 #include "core/snapshot/snapshot.h"
+#include "index_reference.h"
 #include "net/rng.h"
 
 namespace netclients::core {
@@ -247,11 +249,103 @@ TEST_F(ServeSuite, HandleLookupsMatchSingleQueryAndReferenceOracle) {
   const serve::SnapshotHandle handle = service.acquire();
   const auto queries = make_queries(50000, 0x04AC1E);
   const auto batched = handle->lookup_many(queries, 4);
+  const IndexReference reference(chain());
   for (std::size_t i = 0; i < queries.size(); i += 61) {
     ASSERT_EQ(handle->lookup(queries[i]), batched[i]) << "query " << i;
-    ASSERT_EQ(handle->index().lookup_reference(queries[i]), batched[i])
-        << "query " << i;
+    ASSERT_EQ(reference.lookup(queries[i]), batched[i]) << "query " << i;
   }
+}
+
+TEST(ServeIndex, NestedSubSlash24AndRepeatedPrefixesMatchTheOracle) {
+  // Hand-built epochs that exercise every shape the slot table handles:
+  // prefixes nested four deep across epochs, sub-/24 prefixes that share
+  // a /24 with gaps between them, a /24 covered only in part, and one
+  // prefix repeated across three epochs with a different domain mask, AS
+  // and country each time (the union keeps the first attribution). Each
+  // epoch on its own stays sorted and disjoint, as EpochRecord requires.
+  const auto entry = [](const char* prefix, double volume, std::uint32_t asn,
+                        std::uint16_t country, std::uint32_t mask) {
+    snapshot::PrefixEntry e;
+    e.prefix = *net::Prefix::parse(prefix);
+    e.volume = volume;
+    e.asn = asn;
+    e.country = country;
+    e.domain_mask = mask;
+    return e;
+  };
+  std::vector<snapshot::EpochRecord> epochs(5);
+  for (std::uint32_t i = 0; i < epochs.size(); ++i) epochs[i].epoch_id = i;
+  epochs[0].prefixes = {
+      entry("10.0.0.0/8", 1.0, 100, 1, 0x1),
+      entry("172.16.5.0/26", 6.0, 200, 4, 0x1),
+      entry("172.16.5.128/27", 7.0, 201, 4, 0x2),
+      entry("192.0.2.0/24", 8.0, 300, 5, 0x1),
+  };
+  epochs[1].prefixes = {
+      entry("10.1.0.0/16", 2.0, 101, 1, 0x2),
+      entry("172.16.5.64/30", 9.0, 202, 4, 0x4),
+      entry("192.0.2.0/24", 1.5, 301, 6, 0x2),
+      entry("198.51.100.7/32", 10.0, 400, 7, 0x1),
+  };
+  epochs[2].prefixes = {
+      entry("10.1.2.0/24", 3.0, 102, 2, 0x4),
+      entry("192.0.2.0/24", 2.5, 302, 7, 0x4),
+  };
+  epochs[3].prefixes = {entry("10.1.2.128/25", 4.0, 103, 2, 0x8)};
+  epochs[4].prefixes = {entry("10.1.2.192/28", 5.0, 104, 3, 0x10)};
+
+  serve::Service service;
+  service.publish(std::span<const snapshot::EpochRecord>(epochs));
+  const serve::SnapshotHandle handle = service.acquire();
+  const IndexReference reference{
+      std::span<const snapshot::EpochRecord>(epochs)};
+
+  // Every address of every touched /24 plus its neighbours, a spray over
+  // the covering /8, and random misses.
+  std::vector<net::Ipv4Addr> queries;
+  for (const char* base :
+       {"10.1.1.0", "10.1.2.0", "10.1.3.0", "172.16.4.0", "172.16.5.0",
+        "172.16.6.0", "192.0.1.0", "192.0.2.0", "192.0.3.0",
+        "198.51.100.0"}) {
+    const std::uint32_t first = net::Ipv4Addr::parse(base)->value();
+    for (std::uint32_t host = 0; host < 256; ++host) {
+      queries.push_back(net::Ipv4Addr(first + host));
+    }
+  }
+  net::Rng rng(0x1DE7);
+  for (int i = 0; i < 4096; ++i) {
+    const auto host = static_cast<std::uint32_t>(rng() & 0xFFFFFF);
+    queries.push_back(net::Ipv4Addr(0x0A000000u | host));
+    queries.push_back(net::Ipv4Addr(static_cast<std::uint32_t>(rng())));
+  }
+
+  const auto one = handle->lookup_many(queries, 1);
+  const auto eight = handle->lookup_many(queries, 8);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const serve::LookupResult want = reference.lookup(queries[i]);
+    ASSERT_EQ(one[i], want) << "query " << queries[i].to_string();
+    ASSERT_EQ(eight[i], want) << "query " << queries[i].to_string();
+  }
+
+  // The repeated /24: summed volume, OR-ed masks, first attribution.
+  const auto repeated = reference.lookup(*net::Ipv4Addr::parse("192.0.2.5"));
+  EXPECT_EQ(repeated.prefix, *net::Prefix::parse("192.0.2.0/24"));
+  EXPECT_EQ(repeated.volume, 8.0 + 1.5 + 2.5);
+  EXPECT_EQ(repeated.domain_mask, 0x1u | 0x2u | 0x4u);
+  EXPECT_EQ(repeated.asn, 300u);
+  EXPECT_EQ(repeated.country, 5u);
+  // The most specific prefix wins, and a gap inside a covered /24 falls
+  // back to the covering prefix or misses outright.
+  const auto matched = [&](const char* addr) {
+    return reference.lookup(*net::Ipv4Addr::parse(addr)).prefix;
+  };
+  EXPECT_EQ(matched("10.1.2.195"), *net::Prefix::parse("10.1.2.192/28"));
+  EXPECT_EQ(matched("10.1.2.210"), *net::Prefix::parse("10.1.2.128/25"));
+  EXPECT_EQ(matched("10.1.2.5"), *net::Prefix::parse("10.1.2.0/24"));
+  EXPECT_EQ(matched("10.1.3.1"), *net::Prefix::parse("10.1.0.0/16"));
+  EXPECT_EQ(matched("10.2.0.1"), *net::Prefix::parse("10.0.0.0/8"));
+  EXPECT_EQ(matched("172.16.5.66"), *net::Prefix::parse("172.16.5.64/30"));
+  EXPECT_FALSE(reference.lookup(*net::Ipv4Addr::parse("172.16.5.100")).active);
 }
 
 TEST_F(ServeSuite, WorkloadGenerationIsDeterministicInOptions) {

@@ -4,8 +4,10 @@
 // round-trips, byte-identical encodes regardless of REPRO_THREADS, the
 // tolerant reader's skip-and-count behaviour under truncation and
 // per-section corruption (it must never crash and must keep every intact
-// epoch), the strict validate() gate, snapshot-handle lookup determinism
-// across thread counts, and epoch-diff churn analytics. (The serving
+// epoch), the strict validate() gate, the fuzz_snapshot seed corpus
+// (tests/corpus/snap/) replayed with the harness's property,
+// snapshot-handle lookup determinism across thread counts, and
+// epoch-diff churn analytics. (The serving
 // tier itself — handle lifetime, concurrent publish/read — lives in
 // test_serve.)
 //
@@ -14,14 +16,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario/scenario.h"
 #include "core/serve/service.h"
 #include "core/snapshot/snapshot.h"
+#include "index_reference.h"
 #include "net/rng.h"
 
 namespace netclients::core {
@@ -218,6 +226,75 @@ TEST_F(SnapshotSuite, ValidateAcceptsGoodRejectsCorrupt) {
                    .empty());
 }
 
+// ------------------------------------------------------ fuzz seed corpus
+
+/// fuzz_snapshot's property: the tolerant reader never crashes, and the
+/// strict validate() rejects every image the tolerant reader skipped
+/// anything from. Returns true when decode() read the image cleanly.
+bool check_reader_property(const std::string& bytes) {
+  (void)snapshot::section_sizes(bytes);
+  const auto file = snapshot::decode(bytes);
+  const bool skipped = !file || file->stats.sections_skipped != 0 ||
+                       file->stats.epochs_skipped != 0 ||
+                       file->stats.crc_failures != 0 || file->stats.truncated;
+  if (skipped) {
+    EXPECT_NE(snapshot::validate(bytes), "")
+        << "validate() accepts an image the tolerant reader skipped from";
+  }
+  return !skipped;
+}
+
+std::vector<std::pair<std::string, std::string>> snap_seeds() {
+  std::vector<std::pair<std::string, std::string>> seeds;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(NETCLIENTS_SNAP_CORPUS_DIR)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    seeds.emplace_back(entry.path().filename().string(),
+                       std::string{std::istreambuf_iterator<char>(in), {}});
+  }
+  std::sort(seeds.begin(), seeds.end());
+  return seeds;
+}
+
+TEST(SnapshotFuzz, SeedCorpusReplays) {
+  const auto seeds = snap_seeds();
+  std::size_t clean = 0;
+  for (const auto& [name, bytes] : seeds) {
+    SCOPED_TRACE(name);
+    clean += check_reader_property(bytes);
+  }
+  EXPECT_GE(seeds.size(), 10u) << "seed corpus went missing";
+  // The clean image and the magic-only file read without a skip; every
+  // corpse exercises a skip path.
+  EXPECT_EQ(clean, 2u);
+}
+
+TEST(SnapshotFuzz, MutatedSeedsKeepTheReaderProperty) {
+  // A deterministic stand-in for the libFuzzer run: byte flips, byte
+  // overwrites, truncations and splices of every seed.
+  net::Rng rng(0x5EED5A9);
+  for (const auto& [name, seed] : snap_seeds()) {
+    SCOPED_TRACE(name);
+    if (seed.empty()) continue;
+    for (int round = 0; round < 2000; ++round) {
+      std::string bytes = seed;
+      const int edits = 1 + static_cast<int>(rng() % 4);
+      for (int e = 0; e < edits && !bytes.empty(); ++e) {
+        const std::size_t at = rng() % bytes.size();
+        switch (rng() % 4) {
+          case 0: bytes[at] ^= static_cast<char>(1u << (rng() % 8)); break;
+          case 1: bytes[at] = static_cast<char>(rng()); break;
+          case 2: bytes.resize(at); break;
+          default: bytes.insert(at, seed.substr(rng() % seed.size(), 8));
+        }
+      }
+      check_reader_property(bytes);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
 // ----------------------------------------------------------- serving index
 
 TEST_F(SnapshotSuite, LookupManyIsByteIdenticalAcrossThreadCounts) {
@@ -248,11 +325,12 @@ TEST_F(SnapshotSuite, LookupManyIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one, env_one);
 
   // And the batched path answers exactly what the single-query path and
-  // the structurally independent trie oracle answer.
+  // the radix-trie oracle built from the epochs themselves answer.
+  const IndexReference reference{
+      std::span<const snapshot::EpochRecord>(epochs())};
   for (std::size_t i = 0; i < queries.size(); i += 173) {
     ASSERT_EQ(handle->lookup(queries[i]), one[i]) << "query " << i;
-    ASSERT_EQ(handle->index().lookup_reference(queries[i]), one[i])
-        << "query " << i;
+    ASSERT_EQ(reference.lookup(queries[i]), one[i]) << "query " << i;
   }
 }
 

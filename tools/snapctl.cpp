@@ -435,12 +435,14 @@ int run_netserve(const char* path, int argc, char** argv) {
   const std::size_t failed_addresses =
       static_cast<std::size_t>(stats.failed_chunks) * batch;
   std::printf("  %zu addresses in %zu-address chunks: %llu responses, "
-              "%llu retries, %llu timeouts, %llu failed chunk(s)\n",
+              "%llu retries, %llu timeouts, %llu failed chunk(s), "
+              "breaker_skipped %llu\n",
               queries.size(), batch,
               static_cast<unsigned long long>(stats.responses),
               static_cast<unsigned long long>(stats.retries),
               static_cast<unsigned long long>(stats.timeouts),
-              static_cast<unsigned long long>(stats.failed_chunks));
+              static_cast<unsigned long long>(stats.failed_chunks),
+              static_cast<unsigned long long>(stats.breaker_skipped));
   std::printf("  transports: %llu udp / %llu tcp queries, "
               "%llu truncated seen, %llu escalation(s)\n",
               static_cast<unsigned long long>(stats.udp_queries),
